@@ -56,7 +56,6 @@ from .params import (
     derive_model,
     drive_amplitude,
     effective_couplings,
-    static_displacement,
     steady_cavity_amplitude,
     thermal_occupation,
     wrap_phase,

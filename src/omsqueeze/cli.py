@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ from .matrices import (
     initial_covariance,
 )
 from .metrics import METRIC_COLUMNS, metric_row
-from .params import PhysicalParams, derive_model
+from .params import ModelParams, PhysicalParams, derive_model
 from .presets import FIGURE_NAMES, PARAM_PRESETS, TracePreset, figure_preset, param_preset
 from .stability import StabilityReport, analyze
 from .sweep import SweepSpec, apply_overrides, find_optimum, run_sweep
@@ -55,9 +56,12 @@ def _parse_sets(pairs: list[str]) -> dict[str, float]:
         if not sep or not key:
             raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
         try:
-            overrides[key] = float(raw)
+            value = float(raw)
         except ValueError:
             raise ValueError(f"--set {key}: {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"--set {key}: {raw!r} is not a finite number")
+        overrides[key] = value
     return overrides
 
 
@@ -74,20 +78,33 @@ def _load_params(args) -> PhysicalParams:
 
 
 def _require_stable(report: StabilityReport) -> None:
-    if report.rhsc_stable and report.eig_stable and not report.marginal:
+    if report.stable:
         return
     reason = report.failure_reason() or "marginal spectrum"
     raise UnstableSystemError(f"unstable ({reason})")
 
 
 def _jobs(args) -> int:
-    if args.jobs and args.jobs > 0:
-        return args.jobs
-    return os.cpu_count() or 1
+    """Worker count for a sweep: 0 means all cores; run_sweep rejects < 0."""
+    return args.jobs or os.cpu_count() or 1
 
 
-def _print_stability(params: PhysicalParams, report: StabilityReport) -> None:
-    model = derive_model(params)
+def _write_result(out: Path | None, fmt: str, to_json, write_csv) -> None:
+    """Write a result to --out in the --format asked for and report the path.
+
+    `to_json()` builds the JSON payload; `write_csv(path)` writes the CSV.
+    Nothing happens without --out.
+    """
+    if out is None:
+        return
+    if fmt == "json":
+        out.write_text(json.dumps(to_json(), indent=2) + "\n", encoding="utf-8")
+    else:
+        write_csv(out)
+    print(f"wrote {out}")
+
+
+def _print_stability(model: ModelParams, report: StabilityReport) -> None:
     print(
         f"model (kappa units): G_- = {_fmt(model.G_minus)}  G_+ = {_fmt(model.G_plus)}  "
         f"Lambda = {_fmt(model.lambda_pa)}  phi = {_fmt(model.phi)}  "
@@ -109,9 +126,10 @@ def _print_stability(params: PhysicalParams, report: StabilityReport) -> None:
     )
     print(f"drift eigenvalues (kappa units): {eigs}")
     print(f"spectral abscissa: {_fmt(report.spectral_abscissa)}")
-    verdict = "stable" if (report.rhsc_stable and report.eig_stable) else "unstable"
     if report.marginal:
         verdict = "marginal"
+    else:
+        verdict = "stable" if report.stable else "unstable"
     detail = report.failure_reason()
     tag = f" ({detail})" if detail and verdict != "stable" else ""
     agreement = "consistent" if report.consistent else "INCONSISTENT"
@@ -134,17 +152,13 @@ def _stability_csv(report: StabilityReport) -> str:
 
 
 def cmd_stability(args) -> int:
-    params = _load_params(args)
-    report = analyze(derive_model(params))
-    _print_stability(params, report)
-    if args.out is not None:
-        if args.format == "json":
-            Path(args.out).write_text(
-                json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
-            )
-        else:
-            Path(args.out).write_text(_stability_csv(report), encoding="utf-8")
-        print(f"wrote {args.out}")
+    model = derive_model(_load_params(args))
+    report = analyze(model)
+    _print_stability(model, report)
+    _write_result(
+        args.out, args.format, report.to_json,
+        lambda path: path.write_text(_stability_csv(report), encoding="utf-8"),
+    )
     return 0
 
 
@@ -173,45 +187,45 @@ def cmd_steady(args) -> int:
     model = derive_model(params)
     report = analyze(model)
     _require_stable(report)
-    solution = solve_lyapunov(
-        build_drift(model), build_diffusion(model),
-        spectral_abscissa=report.spectral_abscissa,
-    )
+    solution = solve_lyapunov(build_drift(model), build_diffusion(model))
     metrics = metric_row(solution.sigma)
     print(f"Lyapunov residual: {_fmt(solution.residual_norm)}")
     for line in _metrics_lines(metrics):
         print(line)
-    if args.out is not None:
-        if args.format == "json":
-            payload = {
-                "params": params.to_json(),
-                "stability": report.to_json(),
-                "covariance": covariance_to_json(solution.sigma),
-                "metrics": metrics,
-            }
-            Path(args.out).write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-            )
-        else:
-            Path(args.out).write_text(_metrics_csv(metrics), encoding="utf-8")
-        print(f"wrote {args.out}")
+    _write_result(
+        args.out, args.format,
+        lambda: {
+            "params": params.to_json(),
+            "stability": report.to_json(),
+            "covariance": covariance_to_json(solution.sigma),
+            "metrics": metrics,
+        },
+        lambda path: path.write_text(_metrics_csv(metrics), encoding="utf-8"),
+    )
     return 0
 
 
-def cmd_evolve(args) -> int:
-    params = _load_params(args)
+def _relax(params: PhysicalParams, *, eps: float, t_end: float | None = None):
+    """Gate on stability, then integrate sigma from the initial covariance.
+
+    Returns (sigma, trajectory): sigma relaxed to the steady state, or,
+    with `t_end`, the trajectory over that fixed horizon and sigma None.
+    """
     model = derive_model(params)
-    report = analyze(model)
-    _require_stable(report)
+    _require_stable(analyze(model))
     w, d = build_drift(model), build_diffusion(model)
     sigma0 = initial_covariance(model)
-    if args.t_end is not None:
-        trajectory = integrate(w, d, sigma0, t_end=args.t_end)
-        sigma = None
+    if t_end is not None:
+        return None, integrate(w, d, sigma0, t_end=t_end)
+    return evolve_to_steady(w, d, sigma0, eps=eps)
+
+
+def cmd_evolve(args) -> int:
+    sigma, trajectory = _relax(_load_params(args), eps=args.eps, t_end=args.t_end)
+    if sigma is None:
         print(f"integrated to t = {_fmt(args.t_end)} / kappa "
               f"({len(trajectory.times)} accepted steps)")
     else:
-        sigma, trajectory = evolve_to_steady(w, d, sigma0, eps=args.eps)
         print(f"converged at t = {_fmt(trajectory.t_converged)} / kappa "
               f"({len(trajectory.times)} accepted steps)")
     print(f"trace: initial = {_fmt(trajectory.traces[0])}  "
@@ -234,14 +248,6 @@ def _print_optima(result) -> None:
         print(f"optimum[{metric}] = {_fmt(opt['value'])} at {at}")
 
 
-def _write_sweep(result, out: Path, fmt: str) -> None:
-    if fmt == "json":
-        out.write_text(json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8")
-    else:
-        result.write_csv(out)
-    print(f"wrote {out}")
-
-
 def cmd_sweep(args) -> int:
     if args.config is None:
         raise ValueError("sweep requires --config with a sweep specification")
@@ -252,7 +258,7 @@ def cmd_sweep(args) -> int:
     print(f"swept {len(result.grid)} points ({stable} stable)")
     _print_optima(result)
     out = args.out if args.out is not None else Path(f"{spec.name}.csv")
-    _write_sweep(result, Path(out), args.format)
+    _write_result(out, args.format, result.to_json, result.write_csv)
     return 0
 
 
@@ -260,13 +266,7 @@ def cmd_figure(args) -> int:
     preset = figure_preset(args.name)
     out = args.out if args.out is not None else Path(f"{args.name}.csv")
     if isinstance(preset, TracePreset):
-        model = derive_model(preset.params)
-        report = analyze(model)
-        _require_stable(report)
-        sigma, trajectory = evolve_to_steady(
-            build_drift(model), build_diffusion(model),
-            initial_covariance(model), eps=preset.eps,
-        )
+        _, trajectory = _relax(preset.params, eps=preset.eps)
         print(f"converged at t = {_fmt(trajectory.t_converged)} / kappa; "
               f"trace plateau = {_fmt(trajectory.traces[-1])}")
         trajectory.to_csv(out)
@@ -276,7 +276,7 @@ def cmd_figure(args) -> int:
     stable = sum(1 for p in result.grid if p.stable)
     print(f"{args.name}: {len(result.grid)} grid points ({stable} stable)")
     _print_optima(result)
-    _write_sweep(result, Path(out), args.format)
+    _write_result(out, args.format, result.to_json, result.write_csv)
     return 0
 
 
@@ -307,14 +307,10 @@ def cmd_metrics(args) -> int:
     metrics = metric_row(sigma)
     for line in _metrics_lines(metrics):
         print(line)
-    if args.out is not None:
-        if args.format == "json":
-            Path(args.out).write_text(
-                json.dumps({"metrics": metrics}, indent=2) + "\n", encoding="utf-8"
-            )
-        else:
-            Path(args.out).write_text(_metrics_csv(metrics), encoding="utf-8")
-        print(f"wrote {args.out}")
+    _write_result(
+        args.out, args.format, lambda: {"metrics": metrics},
+        lambda path: path.write_text(_metrics_csv(metrics), encoding="utf-8"),
+    )
     return 0
 
 
@@ -323,6 +319,9 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output file format"
     )
+
+
+def _add_jobs_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs", type=int, default=0,
         help="worker processes for sweeps (0 = all cores)",
@@ -373,11 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a sweep from a JSON specification")
     p.add_argument("--config", type=Path, default=None, help="sweep spec JSON file")
     _add_io_flags(p)
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure", help="regenerate a reference-figure dataset")
     p.add_argument("name", choices=FIGURE_NAMES, help="figure preset name")
     _add_io_flags(p)
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("optimum", help="grid argmax of a metric over a sweep")
@@ -386,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="s2_m_db", choices=METRIC_COLUMNS,
                    help="metric to maximize")
     _add_io_flags(p)
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_optimum)
 
     p = sub.add_parser("metrics", help="metrics from a stored covariance matrix")

@@ -2,7 +2,9 @@
 
 Solves W sigma + sigma W^T = -D by Kronecker vectorization: at n = 8 the
 64x64 dense solve is trivially fast and free of Schur-form edge cases, so
-Bartels-Stewart stays an optional optimization, not a dependency.
+Bartels-Stewart stays an optional optimization, not a dependency.  Every
+solve first checks strict stability on the spectrum of W itself; no caller
+can skip that check.
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ def residual(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.linalg.norm(w @ sigma + sigma @ w.T + d) / np.linalg.norm(d))
 
 
-def solve_lyapunov(
-    w: np.ndarray,
-    d: np.ndarray,
-    *,
-    spectral_abscissa: float | None = None,
-) -> LyapunovSolution:
+def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
     """Solve for the steady-state covariance of a strictly stable drift.
 
-    The stability precheck is mandatory: the vectorized system is exactly
-    singular whenever two drift eigenvalues sum to zero, and a clean
-    rejection beats a garbage solve.  Callers that already ran the
-    stability analysis can pass the known spectral abscissa to skip the
-    eigensolve (the bound is still enforced).
+    The stability precheck is mandatory and cannot be skipped: the
+    vectorized system is exactly singular whenever two drift eigenvalues
+    sum to zero, and a clean rejection beats a garbage solve.  One
+    eigensolve of W per call serves both the precheck and the condition
+    estimate.
     """
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -50,10 +47,8 @@ def solve_lyapunov(
     if w.shape != (n, n) or d.shape != (n, n):
         raise ValueError("drift and diffusion matrices must be square and congruent")
 
-    eigenvalues = None
-    if spectral_abscissa is None:
-        eigenvalues = drift_eigenvalues(w)
-        spectral_abscissa = float(np.max(eigenvalues.real))
+    eigenvalues = drift_eigenvalues(w)
+    spectral_abscissa = float(np.max(eigenvalues.real))
     if spectral_abscissa >= -MARGINAL_BAND:
         kind = "marginal" if abs(spectral_abscissa) < MARGINAL_BAND else "unstable"
         raise UnstableSystemError(
@@ -70,8 +65,6 @@ def solve_lyapunov(
     sigma = vec.reshape(n, n)
     sigma = (sigma + sigma.T) / 2.0
 
-    if eigenvalues is None:
-        eigenvalues = drift_eigenvalues(w)
     sums = np.abs(eigenvalues[:, None] + eigenvalues[None, :])
     condition = float(np.max(sums) / np.min(sums))
 

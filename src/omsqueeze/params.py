@@ -22,6 +22,14 @@ K_BOLTZMANN = 1.380649e-23  # J / K
 RWA_GUARD_FRACTION = 0.3
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    """Reject NaN and infinite fields; range checks alone let NaN through."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def wrap_phase(phi: float) -> float:
     """Reduce an angle to the canonical interval (-pi, pi]."""
     r = math.fmod(phi, 2.0 * math.pi)
@@ -40,6 +48,7 @@ class PowerDrive:
     P_plus: float
 
     def __post_init__(self):
+        _require_finite(self, ("P_minus", "P_plus"))
         if self.P_minus < 0 or self.P_plus < 0:
             raise ValueError("drive powers must be >= 0")
 
@@ -52,6 +61,7 @@ class DirectCouplings:
     G_plus: float
 
     def __post_init__(self):
+        _require_finite(self, ("G_minus", "G_plus"))
         if self.G_minus < 0 or self.G_plus < 0:
             raise ValueError("effective couplings must be >= 0")
 
@@ -75,6 +85,8 @@ class PhysicalParams:
     drive: PowerDrive | DirectCouplings
 
     def __post_init__(self):
+        _require_finite(self, ("omega_m", "omega_c", "kappa", "gamma", "g",
+                               "lambda_pa", "phi", "temperature"))
         for name in ("omega_m", "omega_c", "kappa", "gamma", "g"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -150,6 +162,8 @@ class ModelParams:
     rwa_flagged: bool = False
 
     def __post_init__(self):
+        _require_finite(self, ("G_minus", "G_plus", "lambda_pa", "phi", "gamma",
+                               "n_c", "n_m", "omega_m", "kappa"))
         for name in ("G_minus", "G_plus", "lambda_pa", "gamma", "n_c", "n_m"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -203,17 +217,6 @@ def steady_cavity_amplitude(
             "steady-state denominator vanished (parametric threshold hit)"
         )
     return 1j * field * (kappa / 2 - 1j * delta_k) / den
-
-
-def static_displacement(g: float, c_s_magnitude: float, omega_m: float) -> float:
-    """Static mirror displacement g |c_s|^2 / omega_m (dimensionless).
-
-    Informational only: under the fixed-detuning convention it does not
-    feed back into the drift matrix.
-    """
-    if omega_m <= 0:
-        raise ValueError("omega_m must be > 0")
-    return g * c_s_magnitude**2 / omega_m
 
 
 def effective_couplings(params: PhysicalParams) -> tuple[float, float]:

@@ -47,6 +47,14 @@ class StabilityReport:
     marginal: bool
     consistent: bool
 
+    @property
+    def stable(self) -> bool:
+        """Both routes find strict stability and the spectrum is not marginal.
+
+        This is the gate every steady-state computation passes through.
+        """
+        return self.rhsc_stable and self.eig_stable and not self.marginal
+
     def failure_reason(self) -> str | None:
         """Short machine-greppable tag for the first failed condition."""
         for name, value in zip(("s1", "s2", "s3", "s4"), self.coefficients.as_tuple()):
@@ -95,7 +103,10 @@ def rhsc_coefficients(m: ModelParams) -> RhscCoefficients:
 
 def rhsc_check(m: ModelParams) -> tuple[float, float, float, bool]:
     """Hurwitz minors (h1, h2, h3) and the combined stability verdict."""
-    c = rhsc_coefficients(m)
+    return _hurwitz(rhsc_coefficients(m))
+
+
+def _hurwitz(c: RhscCoefficients) -> tuple[float, float, float, bool]:
     h1 = c.s4
     h2 = c.s2 * c.s3 - c.s1 * h1
     h3 = c.s1 * h2 - c.s3**2
@@ -150,7 +161,7 @@ def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
 def analyze(m: ModelParams) -> StabilityReport:
     """Run both stability routes and the consistency cross-check."""
     coeffs = rhsc_coefficients(m)
-    h1, h2, h3, rhsc_stable = rhsc_check(m)
+    h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
     eigenvalues = drift_eigenvalues(build_drift(m))
     abscissa = float(np.max(eigenvalues.real))
     eig_stable = abscissa < 0.0

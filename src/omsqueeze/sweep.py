@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -125,7 +126,10 @@ class SweepAxis:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
         if len(self.values) < 2:
             raise ValueError("axes need at least 2 points")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"axis {self.name} has non-finite values: {list(values)}")
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def linear(name: str, lo: float, hi: float, count: int) -> "SweepAxis":
@@ -255,15 +259,9 @@ def _evaluate_point(base: PhysicalParams, assignment: dict[str, float]) -> GridP
     try:
         p = apply_overrides(base, assignment)
         model = derive_model(p)
-        report = analyze(model)
-        stable = report.rhsc_stable and report.eig_stable and not report.marginal
-        if not stable:
+        if not analyze(model).stable:
             return GridPoint(dict(assignment), stable=False, metrics=None)
-        solution = solve_lyapunov(
-            build_drift(model),
-            build_diffusion(model),
-            spectral_abscissa=report.spectral_abscissa,
-        )
+        solution = solve_lyapunov(build_drift(model), build_diffusion(model))
         return GridPoint(dict(assignment), stable=True, metrics=metric_row(solution.sigma))
     except Exception as exc:  # per-point failures are recorded, never fatal
         return GridPoint(
@@ -282,9 +280,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate every grid point and locate the optimum of each output.
 
     With jobs > 1 the grid is split into index ranges evaluated in a
-    process pool; results are gathered by index, so worker count never
-    changes the output.
+    process pool of at most min(jobs, ranges, cores) workers; results are
+    gathered by index, so worker count never changes the output.
     """
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     base = spec.base
     if spec.coupling_mode == "direct":
         base = as_direct_drive(base)
@@ -296,7 +296,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     else:
         chunk = max(16, -(-total // (jobs * 4)))
         ranges = [(spec, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(ranges), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = [p for batch in pool.map(_evaluate_range, ranges) for p in batch]
 
     if spec.unstable_policy == "skip":

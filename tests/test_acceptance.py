@@ -101,10 +101,9 @@ class TestCriterion2EigenvalueSquare:
 class TestCriterion3LyapunovCorrectness:
     def test_residuals_on_all_stable_points(self, stable_draws, appendix_c_model):
         worst = 0.0
-        for m, report in stable_draws + [(appendix_c_model, None)]:
-            abscissa = report.spectral_abscissa if report else None
+        for m, _ in stable_draws + [(appendix_c_model, None)]:
             w, d = build_drift(m), build_diffusion(m)
-            solution = solve_lyapunov(w, d, spectral_abscissa=abscissa)
+            solution = solve_lyapunov(w, d)
             worst = max(worst, solution.residual_norm)
         assert worst <= 1e-10
         _report(3, f"worst residual {worst:.2e} over 101 stable solves")
@@ -226,11 +225,8 @@ class TestCriterion6Physicality:
     def test_random_stable_states(self, stable_draws):
         omega = symplectic_form()
         worst_eig, worst_product = 0.0, math.inf
-        for m, report in stable_draws:
-            sigma = solve_lyapunov(
-                build_drift(m), build_diffusion(m),
-                spectral_abscissa=report.spectral_abscissa,
-            ).sigma
+        for m, _ in stable_draws:
+            sigma = solve_lyapunov(build_drift(m), build_diffusion(m)).sigma
             eigs = np.linalg.eigvalsh(sigma + 0.5j * omega)
             worst_eig = min(worst_eig, float(np.min(eigs)))
             v = collective_variances(sigma)

@@ -4,20 +4,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omsqueeze import covariance_to_json, paper_base
+from omsqueeze import appendix_c_params, covariance_to_json, paper_base
 from omsqueeze.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 COMMAND_FLAGS = {
-    "stability": ["--preset", "--config", "--set", "--out", "--format", "--jobs"],
-    "steady": ["--preset", "--config", "--set", "--out", "--format", "--jobs"],
-    "evolve": ["--preset", "--config", "--set", "--out", "--format", "--jobs",
+    "stability": ["--preset", "--config", "--set", "--out", "--format"],
+    "steady": ["--preset", "--config", "--set", "--out", "--format"],
+    "evolve": ["--preset", "--config", "--set", "--out", "--format",
                "--t-end", "--eps"],
     "sweep": ["--config", "--out", "--format", "--jobs"],
     "figure": ["--out", "--format", "--jobs"],
     "optimum": ["--config", "--metric", "--out", "--format", "--jobs"],
-    "metrics": ["--cm", "--out", "--format", "--jobs"],
+    "metrics": ["--cm", "--out", "--format"],
 }
 
 
@@ -197,6 +197,33 @@ class TestSweepCommand:
         assert payload["optimum"]["s2_m_db"]["value"] is not None
 
 
+class TestOnePathPerResult:
+    def test_fig9_equals_evolve_on_appendix_c(self, tmp_path, capsys):
+        fig9, evolved = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["figure", "fig9", "--out", str(fig9)]) == 0
+        assert main(["evolve", "--preset", "appendixC", "--out", str(evolved)]) == 0
+        assert fig9.read_bytes() == evolved.read_bytes()
+
+    def test_steady_metrics_equal_sweep_rows(self, tmp_path, capsys):
+        values = [0.3, 0.45]
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "base": appendix_c_params().to_json(),
+            "axes": [{"name": "lambda_over_kappa", "values": values}],
+        }))
+        swept = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", str(config), "--format", "json",
+                     "--out", str(swept)]) == 0
+        grid = json.loads(swept.read_text())["grid"]
+        for value, point in zip(values, grid):
+            steady = tmp_path / f"steady_{value}.json"
+            assert main(["steady", "--preset", "appendixC",
+                         "--set", f"lambda_over_kappa={value!r}",
+                         "--format", "json", "--out", str(steady)]) == 0
+            assert point["axes"] == {"lambda_over_kappa": value}
+            assert json.loads(steady.read_text())["metrics"] == point["metrics"]
+
+
 class TestUsageErrors:
     def test_unknown_override_key(self, capsys):
         rc = main(["steady", "--set", "detuning=1.0"])
@@ -211,6 +238,39 @@ class TestUsageErrors:
 
     def test_unknown_command(self, capsys):
         assert main(["squeeze-harder"]) == 2
+
+    @pytest.mark.parametrize(
+        "override", ["temperature_mk=nan", "kappa=inf", "g_minus_over_kappa=nan"]
+    )
+    def test_non_finite_override(self, override, capsys):
+        assert main(["steady", "--set", override]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_non_finite_sweep_axis(self, tmp_path, capsys):
+        spec = {
+            "name": "nan_axis",
+            "base": paper_base().to_json(),
+            "axes": [{"name": "lambda_over_kappa", "values": [0.0, float("nan")]}],
+            "coupling_mode": "powers",
+        }
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec))  # writes the bare token NaN
+        out = tmp_path / "nan_axis.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--config", "spec.json"],
+                                         ["figure", "fig3a"], ["optimum", "fig3a"]])
+    def test_negative_jobs(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "base": paper_base().to_json(),
+            "axes": [{"name": "lambda_over_kappa", "values": [0.0, 0.3]}],
+            "coupling_mode": "powers",
+        }))
+        assert main(command + ["--jobs", "-1"]) == 2
+        assert "jobs must be >= 0" in capsys.readouterr().err
 
 
 class TestHelp:

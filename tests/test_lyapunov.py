@@ -73,9 +73,9 @@ class TestSolveLyapunov:
         assert solution.condition_estimate >= 1.0
 
     def test_agrees_with_bartels_stewart(self):
-        for m, report in random_models(20, seed=20250806, stable=True):
+        for m, _ in random_models(20, seed=20250806, stable=True):
             w, d = build_drift(m), build_diffusion(m)
-            ours = solve_lyapunov(w, d, spectral_abscissa=report.spectral_abscissa)
+            ours = solve_lyapunov(w, d)
             reference = solve_continuous_lyapunov(w, -d)
             np.testing.assert_allclose(ours.sigma, reference, rtol=0, atol=1e-9)
 
@@ -97,13 +97,26 @@ class TestSolveLyapunov:
         np.testing.assert_allclose(s3, 3.0 * s1, rtol=0, atol=1e-10 * np.abs(s3).max())
 
     def test_solutions_physical_on_random_stable_draws(self):
-        for m, report in random_models(30, seed=20250807, stable=True):
-            solution = solve_lyapunov(
-                build_drift(m), build_diffusion(m),
-                spectral_abscissa=report.spectral_abscissa,
-            )
+        for m, _ in random_models(30, seed=20250807, stable=True):
+            solution = solve_lyapunov(build_drift(m), build_diffusion(m))
             assert solution.residual_norm <= 1e-10
             assert physicality_check(solution.sigma)
+
+
+class TestPrecheck:
+    def test_one_eigensolve_per_call(self, appendix_c_model, monkeypatch):
+        import omsqueeze.lyapunov as lyapunov_module
+
+        calls = []
+        original = lyapunov_module.drift_eigenvalues
+
+        def counting(w):
+            calls.append(w)
+            return original(w)
+
+        monkeypatch.setattr(lyapunov_module, "drift_eigenvalues", counting)
+        solve_lyapunov(build_drift(appendix_c_model), build_diffusion(appendix_c_model))
+        assert len(calls) == 1
 
 
 class TestStabilityGateIntegration:

@@ -182,11 +182,8 @@ class TestPhysicality:
         assert physicality_check(np.diag([0.7] * 4 + [55.0] * 4))
 
     def test_steady_states_physical_with_uncertainty_products(self):
-        for m, report in random_models(25, seed=20250810, stable=True):
-            sigma = solve_lyapunov(
-                build_drift(m), build_diffusion(m),
-                spectral_abscissa=report.spectral_abscissa,
-            ).sigma
+        for m, _ in random_models(25, seed=20250810, stable=True):
+            sigma = solve_lyapunov(build_drift(m), build_diffusion(m)).sigma
             assert physicality_check(sigma)
             v = collective_variances(sigma)
             assert v.v_xc * v.v_yc >= 1.0 - 1e-9

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from omsqueeze import (
     DirectCouplings,
+    ModelParams,
     PhysicalParams,
     PowerDrive,
     ThresholdError,
@@ -14,7 +15,6 @@ from omsqueeze import (
     derive_model,
     drive_amplitude,
     paper_base,
-    static_displacement,
     steady_cavity_amplitude,
     thermal_occupation,
     wrap_phase,
@@ -107,22 +107,6 @@ class TestSteadyCavityAmplitude:
             steady_cavity_amplitude(1.0, 2.0, 0.0, 0.0, 1.0)
 
 
-class TestStaticDisplacement:
-    def test_zero_amplitude(self):
-        assert static_displacement(TWO_PI * 36, 0.0, OMEGA_M) == 0.0
-
-    def test_zero_coupling(self):
-        assert static_displacement(0.0, 3650.0, OMEGA_M) == 0.0
-
-    def test_paper_scale_value(self):
-        d = static_displacement(TWO_PI * 36, 3650.0, OMEGA_M)
-        assert d == pytest.approx(133.225, rel=1e-12)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            static_displacement(1.0, 1.0, 0.0)
-
-
 class TestDeriveModel:
     def test_direct_couplings_pass_through(self):
         p = appendix_c_params()
@@ -194,6 +178,36 @@ class TestValidation:
             PowerDrive(P_minus=-1e-9, P_plus=0.0)
         with pytest.raises(ValueError):
             DirectCouplings(G_minus=-1.0, G_plus=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["omega_m", "omega_c", "kappa", "gamma", "g", "lambda_pa", "phi", "temperature"],
+    )
+    def test_rejects_non_finite_physical_fields(self, name, bad):
+        obj = paper_base().to_json()
+        obj[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams.from_json(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_drive(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PowerDrive(P_minus=1e-9, P_plus=bad)
+        with pytest.raises(ValueError, match="finite"):
+            DirectCouplings(G_minus=bad, G_plus=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["G_minus", "G_plus", "lambda_pa", "phi", "gamma", "n_c", "n_m", "omega_m", "kappa"],
+    )
+    def test_rejects_non_finite_model_fields(self, name, bad):
+        fields = dict(G_minus=0.2, G_plus=0.1, lambda_pa=0.4, phi=0.0,
+                      gamma=1e-5, n_c=0.0, n_m=50.0)
+        fields[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**fields)
 
     def test_json_round_trip(self):
         for p in (paper_base(), appendix_c_params()):

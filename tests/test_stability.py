@@ -190,6 +190,22 @@ class TestAnalyze:
             )
             assert rhsc_check(m)[3], m
 
+    def test_stable_needs_both_routes_and_a_clear_margin(self, appendix_c_model):
+        from dataclasses import replace
+
+        report = analyze(appendix_c_model)
+        assert report.stable
+        assert not replace(report, marginal=True).stable
+        assert not replace(report, eig_stable=False).stable
+        assert not replace(report, rhsc_stable=False).stable
+        assert not analyze(model(0.1, 0.2, 0.0)).stable
+
+    def test_minors_match_rhsc_check(self):
+        for m in random_models(50, seed=20250811):
+            report = analyze(m)
+            assert (report.h1, report.h2, report.h3, report.rhsc_stable) == rhsc_check(m)
+            assert report.coefficients == rhsc_coefficients(m)
+
     def test_json_field_names(self, appendix_c_model):
         payload = analyze(appendix_c_model).to_json()
         for key in ("s1", "s2", "s3", "s4", "h1", "h2", "h3",

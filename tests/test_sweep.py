@@ -87,6 +87,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="at least 2"):
             SweepAxis.explicit("lambda_over_kappa", (0.1,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_axis_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            SweepAxis.explicit("lambda_over_kappa", (0.1, bad))
+
     def test_at_most_two_axes(self):
         ax = SweepAxis.linear("lambda_over_kappa", 0, 0.4, 3)
         ay = SweepAxis.linear("phi_over_pi", -1, 1, 3)
@@ -177,6 +182,38 @@ class TestRunSweep:
         run_sweep(spec, jobs=1).write_csv(serial)
         run_sweep(spec, jobs=2).write_csv(pooled)
         assert serial.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize(
+        "jobs, points, expected",
+        [(5000, 64, 4), (5000, 1000, 8), (3, 1000, 3)],
+    )
+    def test_worker_pool_is_bounded(self, monkeypatch, jobs, points, expected):
+        """min(jobs, index ranges, cores) workers; no process is started here."""
+        import omsqueeze.sweep as sweep_module
+
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 8)
+        spec = direct_spec(
+            axes=(SweepAxis.linear("g_plus_over_g_minus", 0.0, 0.9, points),),
+        )
+        result = run_sweep(spec, jobs=jobs)
+        assert started == [expected]
+        assert len(result.grid) == points
 
     def test_csv_layout(self, tmp_path):
         spec = direct_spec(
