@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -82,11 +81,6 @@ def _require_stable(report: StabilityReport) -> None:
         return
     reason = report.failure_reason() or "marginal spectrum"
     raise UnstableSystemError(f"unstable ({reason})")
-
-
-def _jobs(args) -> int:
-    """Worker count for a sweep: 0 means all cores; run_sweep rejects < 0."""
-    return args.jobs or os.cpu_count() or 1
 
 
 def _write_result(out: Path | None, fmt: str, to_json, write_csv) -> None:
@@ -248,36 +242,46 @@ def _print_optima(result) -> None:
         print(f"optimum[{metric}] = {_fmt(opt['value'])} at {at}")
 
 
+def _report_sweep(result, heading: str, out: Path, fmt: str) -> int:
+    """Print the summary line and the optima, then write --out.
+
+    Points that raised are counted apart from unstable ones, and the first
+    error text goes to stderr.
+    """
+    stable = sum(1 for p in result.grid if p.stable)
+    errors = [p.error for p in result.grid if p.error is not None]
+    print(f"{heading} ({stable} stable" + (f", {len(errors)} failed)" if errors else ")"))
+    if errors:
+        print(f"warning: first failed grid point: {errors[0]}", file=sys.stderr)
+    _print_optima(result)
+    _write_result(out, fmt, result.to_json, result.write_csv)
+    return 0
+
+
 def cmd_sweep(args) -> int:
     if args.config is None:
         raise ValueError("sweep requires --config with a sweep specification")
     with open(args.config, encoding="utf-8") as fh:
         spec = SweepSpec.from_json(json.load(fh))
-    result = run_sweep(spec, jobs=_jobs(args))
-    stable = sum(1 for p in result.grid if p.stable)
-    print(f"swept {len(result.grid)} points ({stable} stable)")
-    _print_optima(result)
+    result = run_sweep(spec)
     out = args.out if args.out is not None else Path(f"{spec.name}.csv")
-    _write_result(out, args.format, result.to_json, result.write_csv)
-    return 0
+    return _report_sweep(result, f"swept {len(result.grid)} points", out, args.format)
 
 
 def cmd_figure(args) -> int:
     preset = figure_preset(args.name)
     out = args.out if args.out is not None else Path(f"{args.name}.csv")
     if isinstance(preset, TracePreset):
+        if args.format != "csv":
+            raise ValueError(f"{args.name} is a time trace; it is written as CSV only")
         _, trajectory = _relax(preset.params, eps=preset.eps)
         print(f"converged at t = {_fmt(trajectory.t_converged)} / kappa; "
               f"trace plateau = {_fmt(trajectory.traces[-1])}")
         trajectory.to_csv(out)
         print(f"wrote {out}")
         return 0
-    result = run_sweep(preset, jobs=_jobs(args))
-    stable = sum(1 for p in result.grid if p.stable)
-    print(f"{args.name}: {len(result.grid)} grid points ({stable} stable)")
-    _print_optima(result)
-    _write_result(out, args.format, result.to_json, result.write_csv)
-    return 0
+    result = run_sweep(preset)
+    return _report_sweep(result, f"{args.name}: {len(result.grid)} grid points", out, args.format)
 
 
 def cmd_optimum(args) -> int:
@@ -291,7 +295,7 @@ def cmd_optimum(args) -> int:
         spec = preset
     else:
         raise ValueError("optimum requires a figure preset name or --config")
-    result = run_sweep(spec, jobs=_jobs(args))
+    result = run_sweep(spec)
     axes, value = find_optimum(result, args.metric)
     at = "  ".join(f"{k} = {_fmt(v)}" for k, v in axes.items())
     print(f"optimum[{args.metric}] = {_fmt(value)} at {at}")
@@ -318,13 +322,6 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=Path, default=None, help="output file path")
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output file format"
-    )
-
-
-def _add_jobs_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes for sweeps (0 = all cores)",
     )
 
 
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="integrate the covariance to its steady state")
     _add_param_flags(p)
-    _add_io_flags(p)
+    p.add_argument("--out", type=Path, default=None, help="output file path")
     p.add_argument("--t-end", type=float, default=None,
                    help="fixed horizon in 1/kappa (default: detect convergence)")
     p.add_argument("--eps", type=float, default=1e-8,
@@ -372,13 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a sweep from a JSON specification")
     p.add_argument("--config", type=Path, default=None, help="sweep spec JSON file")
     _add_io_flags(p)
-    _add_jobs_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure", help="regenerate a reference-figure dataset")
     p.add_argument("name", choices=FIGURE_NAMES, help="figure preset name")
     _add_io_flags(p)
-    _add_jobs_flag(p)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("optimum", help="grid argmax of a metric over a sweep")
@@ -387,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="s2_m_db", choices=METRIC_COLUMNS,
                    help="metric to maximize")
     _add_io_flags(p)
-    _add_jobs_flag(p)
     p.set_defaults(func=cmd_optimum)
 
     p = sub.add_parser("metrics", help="metrics from a stored covariance matrix")

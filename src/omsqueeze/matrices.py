@@ -73,11 +73,12 @@ def symplectic_form(n_modes: int = 4) -> np.ndarray:
 
 
 def require_symmetric(sigma: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise if sigma is not symmetric to within tol (Frobenius norm)."""
+    """Raise if sigma (or any matrix of a stack) is not symmetric to within
+    tol (Frobenius norm)."""
     sigma = np.asarray(sigma)
-    if sigma.shape != (8, 8):
+    if sigma.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 covariance matrix, got {sigma.shape}")
-    if np.linalg.norm(sigma - sigma.T) > tol:
+    if np.any(np.linalg.norm(sigma - sigma.swapaxes(-1, -2), axis=(-2, -1)) > tol):
         raise ValueError(f"covariance matrix asymmetric beyond {tol}")
 
 

@@ -51,23 +51,29 @@ class NegativityResult:
     e_n: float
 
 
+def _plain(x):
+    """A 0-d result as a plain Python scalar; a stacked result as is."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 def collective_variances(sigma: np.ndarray) -> CollectiveVariances:
     """Variances of the four collective (sum) quadratures."""
     sigma = np.asarray(sigma, dtype=float)
     require_symmetric(sigma)
     return CollectiveVariances(
-        v_xc=float(sigma[0, 0] + sigma[2, 2] + 2 * sigma[0, 2]),
-        v_yc=float(sigma[1, 1] + sigma[3, 3] + 2 * sigma[1, 3]),
-        v_xd=float(sigma[4, 4] + sigma[6, 6] + 2 * sigma[4, 6]),
-        v_yd=float(sigma[5, 5] + sigma[7, 7] + 2 * sigma[5, 7]),
+        v_xc=_plain(sigma[..., 0, 0] + sigma[..., 2, 2] + 2 * sigma[..., 0, 2]),
+        v_yc=_plain(sigma[..., 1, 1] + sigma[..., 3, 3] + 2 * sigma[..., 1, 3]),
+        v_xd=_plain(sigma[..., 4, 4] + sigma[..., 6, 6] + 2 * sigma[..., 4, 6]),
+        v_yd=_plain(sigma[..., 5, 5] + sigma[..., 7, 7] + 2 * sigma[..., 5, 7]),
     )
 
 
 def squeezing_db(variance: float) -> float:
     """Collective-quadrature squeezing in dB below the two-mode shot noise."""
-    if variance <= 0:
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance <= 0):
         raise ValueError("variance must be > 0")
-    return -10.0 * math.log10(variance / TWO_MODE_SHOT_NOISE)
+    return _plain(-10.0 * np.log10(variance / TWO_MODE_SHOT_NOISE))
 
 
 def squeezing_result(quadrature: str, variance: float) -> SqueezingResult:
@@ -97,27 +103,31 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
     sigma = np.asarray(sigma, dtype=float)
     require_symmetric(sigma)
     idx = np.asarray(PAIR_INDICES[pair])
-    block = sigma[np.ix_(idx, idx)]
+    block = sigma[..., idx[:, None], idx]
 
-    det_a = float(np.linalg.det(block[:2, :2]))
-    det_b = float(np.linalg.det(block[2:, 2:]))
-    det_c = float(np.linalg.det(block[:2, 2:]))
-    det_all = float(np.linalg.det(block))
+    det_a = np.linalg.det(block[..., :2, :2])
+    det_b = np.linalg.det(block[..., 2:, 2:])
+    det_c = np.linalg.det(block[..., :2, 2:])
+    det_all = np.linalg.det(block)
     delta = det_a + det_b - 2.0 * det_c
 
-    disc = delta**2 - 4.0 * det_all
-    if disc < -1e-9:
+    # delta * delta: numpy squares a scalar by pow() but an array by multiplying
+    disc = delta * delta - 4.0 * det_all
+    if np.any(disc < -1e-9):
         raise PhysicalityError(
-            f"partial-transpose discriminant negative beyond tolerance ({disc:.3e})"
+            f"partial-transpose discriminant negative beyond tolerance ({np.min(disc):.3e})"
         )
-    inner = (delta - math.sqrt(max(disc, 0.0))) / 2.0
-    if inner < -1e-9:
+    inner = (delta - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    if np.any(inner < -1e-9):
         raise PhysicalityError(
-            f"squared symplectic eigenvalue negative beyond tolerance ({inner:.3e})"
+            f"squared symplectic eigenvalue negative beyond tolerance ({np.min(inner):.3e})"
         )
-    nu = math.sqrt(max(inner, 0.0))
+    nu = np.sqrt(np.maximum(inner, 0.0))
+    if np.any(nu == 0.0):
+        raise ValueError("math domain error")  # log(0), worded as math.log words it
+    e_n = -np.log(2.0 * nu)
     return NegativityResult(
-        pair=pair, nu_tilde_minus=nu, e_n=max(0.0, -math.log(2.0 * nu))
+        pair=pair, nu_tilde_minus=_plain(nu), e_n=_plain(np.where(e_n > 0.0, e_n, 0.0))
     )
 
 
@@ -126,12 +136,13 @@ def physicality_check(sigma: np.ndarray, tol: float = 1e-9) -> bool:
     sigma = np.asarray(sigma, dtype=float)
     require_symmetric(sigma)
     h = sigma + 0.5j * symplectic_form()
-    return bool(np.min(np.linalg.eigvalsh(h)) >= -tol)
+    return _plain(np.min(np.linalg.eigvalsh(h), axis=-1) >= -tol)
 
 
 def metric_row(sigma: np.ndarray) -> dict[str, float]:
     """The canonical export row: all collective variances, headline dBs,
-    both log negativities, and the physicality flag (1.0/0.0)."""
+    both log negativities, and the physicality flag (1.0/0.0).  A stack
+    (..., 8, 8) gives one array per column; a check failing anywhere raises."""
     v = collective_variances(sigma)
     return {
         "v_xc": v.v_xc,
@@ -142,5 +153,5 @@ def metric_row(sigma: np.ndarray) -> dict[str, float]:
         "s2_m_db": squeezing_db(v.v_xd),
         "en_cc": log_negativity(sigma, "cc").e_n,
         "en_mm": log_negativity(sigma, "mm").e_n,
-        "physical": 1.0 if physicality_check(sigma) else 0.0,
+        "physical": _plain(np.where(physicality_check(sigma), 1.0, 0.0)),
     }

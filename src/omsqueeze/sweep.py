@@ -1,18 +1,18 @@
 """Grid sweeps over model parameters with per-point stability gating.
 
-Each grid point derives the dimensionless model, runs the stability
-analysis, and only then solves for the steady state and its metrics.
-Unstable points are marked (or skipped), never silently zeroed.  Grids are
-evaluated in deterministic row-major order; rerunning a spec reproduces
-the CSV byte for byte.
+Each grid point derives the dimensionless model and runs the stability
+analysis; the stable points are then solved in stacks, one Lyapunov solve
+and one metric evaluation per stack, through the kernels a single point
+uses, so the stack size never changes a result.  Unstable points are
+marked (or skipped), never silently zeroed.  Grids are evaluated in
+deterministic row-major order; rerunning a spec reproduces the CSV byte
+for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +29,8 @@ from .params import (
     derive_model,
 )
 from .stability import analyze
+
+BATCH = 64  # stable points per stack; 64 Kronecker systems of 64x64 take 2 MB
 
 AXIS_NAMES = (
     "lambda_over_kappa",
@@ -255,50 +257,62 @@ class SweepResult:
                 fh.write(",".join(cells) + "\n")
 
 
-def _evaluate_point(base: PhysicalParams, assignment: dict[str, float]) -> GridPoint:
+def _failed(assignment: dict[str, float], exc: Exception) -> GridPoint:
+    return GridPoint(
+        dict(assignment), stable=False, metrics=None,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _solve(pending: list, points: list[GridPoint]) -> None:
+    """Fill in the rows of the stable points waiting as (row, assignment,
+    model), solved as one stack.  If that raises, each point is solved
+    alone, so one bad point is one error row."""
     try:
-        p = apply_overrides(base, assignment)
-        model = derive_model(p)
-        if not analyze(model).stable:
-            return GridPoint(dict(assignment), stable=False, metrics=None)
-        solution = solve_lyapunov(build_drift(model), build_diffusion(model))
-        return GridPoint(dict(assignment), stable=True, metrics=metric_row(solution.sigma))
-    except Exception as exc:  # per-point failures are recorded, never fatal
-        return GridPoint(
-            dict(assignment), stable=False, metrics=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        w = np.stack([build_drift(model) for _, _, model in pending])
+        d = np.stack([build_diffusion(model) for _, _, model in pending])
+        columns = {k: v.tolist() for k, v in metric_row(solve_lyapunov(w, d).sigma).items()}
+    except Exception as exc:  # a failed stack is split; a failed point is recorded
+        if len(pending) == 1:
+            row, assignment, _ = pending[0]
+            points[row] = _failed(assignment, exc)
+        else:
+            for waiting in pending:
+                _solve([waiting], points)
+        return
+    for i, (row, assignment, _) in enumerate(pending):
+        metrics = {k: v[i] for k, v in columns.items()}
+        points[row] = GridPoint(dict(assignment), stable=True, metrics=metrics)
 
 
-def _evaluate_range(args) -> list[GridPoint]:
-    spec, lo, hi = args
-    assignments = spec.assignments()[lo:hi]
-    return [_evaluate_point(spec.base, a) for a in assignments]
-
-
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point and locate the optimum of each output.
 
-    With jobs > 1 the grid is split into index ranges evaluated in a
-    process pool of at most min(jobs, ranges, cores) workers; results are
-    gathered by index, so worker count never changes the output.
+    Each point passes its own stability gate; the stable ones are solved
+    in stacks of `BATCH`, each stack as soon as it is full.
     """
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
     base = spec.base
     if spec.coupling_mode == "direct":
         base = as_direct_drive(base)
         spec = replace(spec, base=base)
 
-    total = spec.grid_size()
-    if jobs <= 1 or total < 64:
-        points = _evaluate_range((spec, 0, total))
-    else:
-        chunk = max(16, -(-total // (jobs * 4)))
-        ranges = [(spec, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        workers = min(jobs, len(ranges), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = [p for batch in pool.map(_evaluate_range, ranges) for p in batch]
+    points: list[GridPoint] = []
+    pending = []  # (row, assignment, model) of stable points not yet solved
+    for assignment in spec.assignments():
+        try:
+            model = derive_model(apply_overrides(base, assignment))
+            stable = analyze(model).stable
+        except Exception as exc:  # per-point failures are recorded, never fatal
+            points.append(_failed(assignment, exc))
+            continue
+        if stable:
+            pending.append((len(points), assignment, model))
+        points.append(GridPoint(dict(assignment), stable=False, metrics=None))
+        if len(pending) == BATCH:
+            _solve(pending, points)
+            pending = []
+    if pending:
+        _solve(pending, points)
 
     if spec.unstable_policy == "skip":
         points = [p for p in points if p.stable]

@@ -12,11 +12,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 COMMAND_FLAGS = {
     "stability": ["--preset", "--config", "--set", "--out", "--format"],
     "steady": ["--preset", "--config", "--set", "--out", "--format"],
-    "evolve": ["--preset", "--config", "--set", "--out", "--format",
-               "--t-end", "--eps"],
-    "sweep": ["--config", "--out", "--format", "--jobs"],
-    "figure": ["--out", "--format", "--jobs"],
-    "optimum": ["--config", "--metric", "--out", "--format", "--jobs"],
+    "evolve": ["--preset", "--config", "--set", "--out", "--t-end", "--eps"],
+    "sweep": ["--config", "--out", "--format"],
+    "figure": ["--out", "--format"],
+    "optimum": ["--config", "--metric", "--out", "--format"],
     "metrics": ["--cm", "--out", "--format"],
 }
 
@@ -115,6 +114,14 @@ class TestEvolveCommand:
                    "--set", "lambda_over_kappa=0"])
         assert rc == 3
 
+    def test_format_is_not_an_option(self, tmp_path, capsys):
+        """The trajectory is always CSV, so evolve takes no --format."""
+        out = tmp_path / "x.json"
+        rc = main(["evolve", "--preset", "appendixC", "--format", "json", "--out", str(out)])
+        assert rc == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFigureCommand:
     def test_fig2a_density_csv(self, tmp_path, capsys):
@@ -134,6 +141,12 @@ class TestFigureCommand:
 
     def test_unknown_figure_is_usage_error(self, capsys):
         assert main(["figure", "fig1"]) == 2
+
+    def test_fig9_json_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fig9.json"
+        assert main(["figure", "fig9", "--format", "json", "--out", str(out)]) == 2
+        assert "written as CSV only" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptimumCommand:
@@ -179,6 +192,27 @@ class TestSweepCommand:
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["sweep"]) == 2
+
+    def test_failed_points_counted_apart_from_unstable(self, tmp_path, capsys):
+        spec = {
+            "name": "mixed",
+            "base": paper_base().to_json(),
+            "axes": [{"name": "p_plus_over_p_minus", "values": [-0.5, 0.5, 1.5]}],
+            "coupling_mode": "powers",
+        }
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "mixed.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "swept 3 points (1 stable, 1 failed)" in captured.out
+        assert captured.err.startswith("warning: first failed grid point: ValueError: ")
+
+    def test_no_failed_count_without_failures(self, tmp_path, capsys):
+        assert main(["figure", "fig7a", "--out", str(tmp_path / "fig7a.csv")]) == 0
+        captured = capsys.readouterr()
+        assert "fig7a: 201 grid points (201 stable)" in captured.out
+        assert captured.err == ""
 
     def test_json_output(self, tmp_path, capsys):
         spec = {
@@ -262,15 +296,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", [["sweep", "--config", "spec.json"],
                                          ["figure", "fig3a"], ["optimum", "fig3a"]])
-    def test_negative_jobs(self, command, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "spec.json").write_text(json.dumps({
-            "base": paper_base().to_json(),
-            "axes": [{"name": "lambda_over_kappa", "values": [0.0, 0.3]}],
-            "coupling_mode": "powers",
-        }))
-        assert main(command + ["--jobs", "-1"]) == 2
-        assert "jobs must be >= 0" in capsys.readouterr().err
+    def test_jobs_flag_is_gone(self, command, capsys):
+        assert main(command + ["--jobs", "1"]) == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -4,9 +4,13 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from omsqueeze import (
     UnstableSystemError,
+    apply_overrides,
     build_diffusion,
     build_drift,
+    derive_model,
+    figure_preset,
     initial_covariance,
+    metric_row,
     physicality_check,
     residual,
     solve_lyapunov,
@@ -105,18 +109,65 @@ class TestSolveLyapunov:
 
 class TestPrecheck:
     def test_one_eigensolve_per_call(self, appendix_c_model, monkeypatch):
-        import omsqueeze.lyapunov as lyapunov_module
-
+        """One eigensolve per call, for one drift and for a stack of them."""
         calls = []
-        original = lyapunov_module.drift_eigenvalues
+        original = np.linalg.eigvals
 
         def counting(w):
-            calls.append(w)
+            calls.append(np.shape(w))
             return original(w)
 
-        monkeypatch.setattr(lyapunov_module, "drift_eigenvalues", counting)
-        solve_lyapunov(build_drift(appendix_c_model), build_diffusion(appendix_c_model))
-        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        solve_lyapunov(w, d)
+        assert calls == [(8, 8)]
+        calls.clear()
+        solve_lyapunov(np.stack([w] * 5), np.stack([d] * 5))
+        assert calls == [(5, 8, 8)]
+
+    def test_one_unstable_matrix_rejects_the_stack(self, appendix_c_model):
+        stable = build_drift(appendix_c_model)
+        d = build_diffusion(appendix_c_model)
+        unstable = build_drift(model(G_minus=0.1, G_plus=0.3))
+        with pytest.raises(UnstableSystemError, match="unstable"):
+            solve_lyapunov(np.stack([stable, unstable]), np.stack([d, d]))
+
+    def test_stack_shapes_must_match(self, appendix_c_model):
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        with pytest.raises(ValueError, match="congruent"):
+            solve_lyapunov(np.stack([w, w]), d)
+
+
+class TestStacked:
+    def test_stack_equals_per_point_calls_bit_for_bit(self):
+        models = [m for m, _ in random_models(20, seed=20251018, stable=True)]
+        w = np.stack([build_drift(m) for m in models])
+        d = np.stack([build_diffusion(m) for m in models])
+        stacked = solve_lyapunov(w, d)
+        rows = metric_row(stacked.sigma)
+        singles = [solve_lyapunov(w[i], d[i]) for i in range(len(models))]
+        for i, single in enumerate(singles):
+            assert np.array_equal(stacked.sigma[i], single.sigma)
+            row = metric_row(single.sigma)
+            assert all(type(v) is float for v in row.values())
+            assert {k: float(v[i]) for k, v in rows.items()} == row
+        assert stacked.residual_norm == max(s.residual_norm for s in singles)
+        assert stacked.condition_estimate == max(s.condition_estimate for s in singles)
+        assert type(stacked.residual_norm) is float
+        assert type(stacked.condition_estimate) is float
+
+    def test_stack_equals_per_point_call_at_the_pump_threshold(self):
+        """fig2b at Lambda/kappa = 0.4999: E_N cancels there, so squaring a
+        scalar by pow() and an array by multiplying would differ."""
+        spec = figure_preset("fig2b")
+        assignment = spec.assignments()[10170]
+        assert assignment["lambda_over_kappa"] == 0.4999
+        assert assignment["phi_over_pi"] == pytest.approx(0.4)
+        m = derive_model(apply_overrides(spec.base, assignment))
+        w, d = build_drift(m), build_diffusion(m)
+        single = metric_row(solve_lyapunov(w, d).sigma)
+        stacked = metric_row(solve_lyapunov(w[None], d[None]).sigma)
+        assert {k: float(v[0]) for k, v in stacked.items()} == single
 
 
 class TestStabilityGateIntegration:

@@ -204,3 +204,36 @@ class TestMetricRow:
 
     def test_coherent_bound_constant(self):
         assert COHERENT_BOUND == pytest.approx(0.6931, abs=1e-4)
+
+
+class TestStackedInput:
+    def test_single_matrix_gives_plain_scalars(self):
+        assert type(collective_variances(VACUUM).v_xc) is float
+        assert type(log_negativity(VACUUM, "cc").e_n) is float
+        assert type(physicality_check(VACUUM)) is bool
+        assert type(squeezing_db(0.5)) is float
+
+    def test_stack_gives_one_value_per_matrix(self):
+        stack = np.stack([VACUUM, embed(two_mode_squeezed_block(0.4), [0, 1, 2, 3])])
+        row = metric_row(stack)
+        assert all(np.shape(v) == (2,) for v in row.values())
+        assert row["en_cc"][0] == 0.0
+        assert row["en_cc"][1] == pytest.approx(0.8, abs=1e-12)
+        assert list(physicality_check(np.stack([VACUUM, 0.1 * np.eye(8)]))) == [True, False]
+
+    def test_every_check_raises_on_one_bad_matrix(self):
+        bad = 0.5 * np.eye(8)
+        bad[0, 2] = bad[2, 0] = 10.0
+        with pytest.raises(PhysicalityError):
+            log_negativity(np.stack([VACUUM, bad]), "cc")
+        with pytest.raises(ValueError, match="variance must be > 0"):
+            squeezing_db(np.array([0.5, 0.0]))
+        asymmetric = VACUUM.copy()
+        asymmetric[0, 1] = 1.0
+        with pytest.raises(ValueError, match="asymmetric"):
+            collective_variances(np.stack([VACUUM, asymmetric]))
+
+    def test_zero_symplectic_eigenvalue_raises_like_math_log(self):
+        """nu = 0 would take log(0); the message is math.log's own."""
+        with pytest.raises(ValueError, match="math domain error"):
+            log_negativity(np.zeros((8, 8)), "cc")

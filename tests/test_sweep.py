@@ -171,49 +171,70 @@ class TestRunSweep:
             run_sweep(spec).write_csv(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        spec = direct_spec(
-            axes=(
-                SweepAxis.linear("g_plus_over_g_minus", 0.0, 0.9, 10),
-                SweepAxis.linear("lambda_over_kappa", 0.0, 0.45, 10),
-            ),
+    @staticmethod
+    def _mixed_spec():
+        """Stable, unstable (ratio > 1) and one error row (negative power)."""
+        ratios = (-0.5,) + tuple(np.linspace(0.0, 1.4, 15))
+        return SweepSpec(
+            base=paper_base(),
+            axes=(SweepAxis.explicit("p_plus_over_p_minus", ratios),),
+            coupling_mode="powers",
+            name="mixed",
         )
-        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-        run_sweep(spec, jobs=1).write_csv(serial)
-        run_sweep(spec, jobs=2).write_csv(pooled)
-        assert serial.read_bytes() == pooled.read_bytes()
 
-    @pytest.mark.parametrize(
-        "jobs, points, expected",
-        [(5000, 64, 4), (5000, 1000, 8), (3, 1000, 3)],
-    )
-    def test_worker_pool_is_bounded(self, monkeypatch, jobs, points, expected):
-        """min(jobs, index ranges, cores) workers; no process is started here."""
+    def test_csv_bytes_independent_of_batch_size(self, tmp_path, monkeypatch):
         import omsqueeze.sweep as sweep_module
 
-        started = []
+        spec = self._mixed_spec()
+        result = run_sweep(spec)
+        errors = [p for p in result.grid if p.error is not None]
+        assert len(errors) == 1
+        assert any(p.stable for p in result.grid)
+        assert any(not p.stable and p.error is None for p in result.grid)
+        reference = tmp_path / "default.csv"
+        result.write_csv(reference)
+        for batch in (1, 7):
+            monkeypatch.setattr(sweep_module, "BATCH", batch)
+            path = tmp_path / f"batch{batch}.csv"
+            run_sweep(spec).write_csv(path)
+            assert path.read_bytes() == reference.read_bytes()
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+    def test_failure_inside_a_stack_is_one_error_row(self, tmp_path, monkeypatch):
+        """A stacked call that raises falls back to solving each point alone."""
+        import omsqueeze.sweep as sweep_module
+        from omsqueeze.errors import PhysicalityError
 
-            def __enter__(self):
-                return self
+        spec = self._mixed_spec()
+        clean = run_sweep(spec)
+        marked = 9
+        assert clean.grid[marked].stable
+        target = clean.grid[marked].metrics["v_xd"]
+        original = sweep_module.metric_row
+        shapes = []
 
-            def __exit__(self, *exc):
-                return False
+        def failing_on_marked(sigma):
+            shapes.append(sigma.shape)
+            row = original(sigma)
+            if np.any(np.asarray(row["v_xd"]) == target):
+                raise PhysicalityError("marked covariance")
+            return row
 
-            def map(self, fn, items):
-                return map(fn, items)
+        monkeypatch.setattr(sweep_module, "metric_row", failing_on_marked)
+        result = run_sweep(spec)
+        stable = sum(p.stable for p in clean.grid)
+        assert shapes[0] == (stable, 8, 8)  # one stack, then one call per point
+        assert shapes[1:] == [(1, 8, 8)] * stable
+        assert result.grid[marked].error == "PhysicalityError: marked covariance"
+        assert not result.grid[marked].stable and result.grid[marked].metrics is None
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 8)
-        spec = direct_spec(
-            axes=(SweepAxis.linear("g_plus_over_g_minus", 0.0, 0.9, points),),
-        )
-        result = run_sweep(spec, jobs=jobs)
-        assert started == [expected]
-        assert len(result.grid) == points
+        clean_csv, failed_csv = tmp_path / "clean.csv", tmp_path / "failed.csv"
+        clean.write_csv(clean_csv)
+        result.write_csv(failed_csv)
+        before = clean_csv.read_text().splitlines()
+        after = failed_csv.read_text().splitlines()
+        row = marked + 1  # after the header
+        assert after[:row] + after[row + 1:] == before[:row] + before[row + 1:]
+        assert after[row].endswith(",nan,0,nan")
 
     def test_csv_layout(self, tmp_path):
         spec = direct_spec(

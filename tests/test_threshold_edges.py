@@ -1,0 +1,80 @@
+"""Property tests on the way to the open thresholds Lambda -> kappa/2 and
+G+ -> G-, up to the caps the figure presets use (Lambda/kappa = 0.4999,
+G+/G- = 0.999), at random pump phase."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_continuous_lyapunov
+
+from omsqueeze import (
+    analyze,
+    build_diffusion,
+    build_drift,
+    metric_row,
+    physicality_check,
+    solve_lyapunov,
+)
+
+from conftest import model
+
+LAMBDA_CAP = 0.4999
+RATIO_CAP = 0.999
+# Kronecker solve against Bartels-Stewart: relative Frobenius error within
+# this many machine epsilons per unit of `condition_estimate`.
+ORACLE_FACTOR = 1e3
+
+edge_models = st.builds(
+    lambda lam_gap, ratio_gap, g_minus, phi, log_gamma, n_c, n_m: model(
+        G_minus=g_minus,
+        G_plus=min(1.0 - 10.0**ratio_gap, RATIO_CAP) * g_minus,
+        lambda_pa=min(0.5 - 10.0**lam_gap, LAMBDA_CAP),
+        phi=phi,
+        gamma=10.0**log_gamma,
+        n_c=n_c,
+        n_m=n_m,
+    ),
+    lam_gap=st.floats(-4.0, -1.3),  # Lambda/kappa from 0.45 up to the cap
+    ratio_gap=st.floats(-3.0, -1.0),  # G+/G- from 0.9 up to the cap
+    g_minus=st.floats(0.01, 0.6),
+    phi=st.floats(-np.pi, np.pi),
+    log_gamma=st.floats(-6.0, -2.0),
+    n_c=st.floats(0.0, 1.0),
+    n_m=st.floats(0.0, 100.0),
+)
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the error text a sweep row would carry."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60)
+@given(st.lists(edge_models, min_size=1, max_size=4))
+def test_threshold_edge_solves(models):
+    assume(all(analyze(m).stable for m in models))
+    w = np.stack([build_drift(m) for m in models])
+    d = np.stack([build_diffusion(m) for m in models])
+    stacked = solve_lyapunov(w, d)
+    rows = _outcome(metric_row, stacked.sigma)
+    eps = np.finfo(float).eps
+    singles = []
+    for i in range(len(models)):
+        single = solve_lyapunov(w[i], d[i])
+        assert np.array_equal(stacked.sigma[i], single.sigma)
+
+        oracle = solve_continuous_lyapunov(w[i], -d[i])
+        error = np.linalg.norm(single.sigma - oracle) / np.linalg.norm(oracle)
+        assert error <= ORACLE_FACTOR * eps * single.condition_estimate
+
+        assert physicality_check(single.sigma)
+        singles.append(_outcome(metric_row, single.sigma))
+
+    if isinstance(rows, dict):
+        for i, row in enumerate(singles):
+            assert {k: float(v[i]) for k, v in rows.items()} == row
+    else:  # the stack fails exactly where one of its points fails alone
+        assert rows in singles
