@@ -73,6 +73,7 @@ from .stability import (
     RhscCoefficients,
     StabilityReport,
     analyze,
+    analyze_stack,
     drift_eigenvalues,
     quartic_eigenvalues,
     rhsc_check,

@@ -6,6 +6,11 @@ Basis ordering is immutable throughout the package:
 
 with x = (a' + a)/sqrt(2), y = i(a' - a)/sqrt(2), so a single vacuum mode
 has variance 1/2 on each quadrature.
+
+The model is symmetric under exchanging the two cavity-mechanics pairs, so
+in the sum/difference quadratures (q_1 +- q_2)/sqrt(2) the drift splits
+exactly into two 4x4 sectors W_+ (+) W_-; `split_sectors` reads them off
+by index arithmetic, and the solvers work on those sectors.
 """
 
 from __future__ import annotations
@@ -16,6 +21,11 @@ from .params import ModelParams
 
 QUADRATURES = ("x_c1", "y_c1", "x_c2", "y_c2", "x_d1", "y_d1", "x_d2", "y_d2")
 VACUUM_VARIANCE = 0.5
+
+# Quadratures of each cavity-mechanics pair, in the order of a 4x4 sector.
+MODE_1 = np.array([0, 1, 4, 5])
+MODE_2 = np.array([2, 3, 6, 7])
+_SECTOR_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1, 1, 1)  # A + B, A - B
 
 
 def coupling_coefficients(m: ModelParams) -> tuple[float, float, float, float]:
@@ -49,6 +59,29 @@ def build_drift(m: ModelParams) -> np.ndarray:
             [0., 0., b, 0., 0., 0., 0., g2],
         ]
     )
+
+
+def split_sectors(w: np.ndarray) -> np.ndarray:
+    """The sum and difference sectors of an 8x8 drift (or a stack), as
+    (..., 2, 4, 4): [..., 0, :, :] is W_+ and [..., 1, :, :] is W_-.
+
+    With A the pair-1 block and B the pair-1 <- pair-2 block, a drift that
+    is symmetric under the pair exchange (pair-2 blocks equal to A and B
+    exactly, as `build_drift` places them) splits as W_+ = A + B and
+    W_- = A - B in the quadratures (q_1 +- q_2)/sqrt(2), ordered as
+    MODE_1.  Any other matrix raises ValueError.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 drift matrix, got {w.shape}")
+    # quadrature index = 4 (cavity, mechanics) + 2 pair + (x, y), rows then columns
+    blocks = w.reshape(*w.shape[:-2], 2, 2, 2, 2, 2, 2)
+    pair_1, pair_2 = blocks[..., :, 0, :, :, :, :], blocks[..., :, 1, :, :, :, :]
+    if not (pair_2[..., ::-1, :] == pair_1).all():  # [W_21, W_22] == [W_12, W_11]
+        raise ValueError("drift does not split into sum and difference sectors")
+    a = pair_1[..., None, :, :, :, 0, :]
+    b = pair_1[..., None, :, :, :, 1, :]
+    return (a + _SECTOR_SIGNS * b).reshape(*w.shape[:-2], 2, 4, 4)
 
 
 def build_diffusion(m: ModelParams) -> np.ndarray:

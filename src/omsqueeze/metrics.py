@@ -96,7 +96,9 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
     Uses the smaller symplectic eigenvalue of the partially transposed
     block, from the determinant form of the 2x2 sub-blocks.  Determinant
     arithmetic loses ~1e-12 on near-pure states, so sqrt arguments are
-    clipped at zero within a 1e-9 band and flagged beyond it.
+    clipped at zero within a 1e-9 band and flagged beyond it; the
+    discriminant delta^2 - 4 det cancels to within rounding of delta^2,
+    so its band is 1e-9 max(1, delta^2).
     """
     if pair not in PAIR_INDICES:
         raise ValueError(f"pair must be one of {sorted(PAIR_INDICES)}")
@@ -112,8 +114,9 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
     delta = det_a + det_b - 2.0 * det_c
 
     # delta * delta: numpy squares a scalar by pow() but an array by multiplying
-    disc = delta * delta - 4.0 * det_all
-    if np.any(disc < -1e-9):
+    square = delta * delta
+    disc = square - 4.0 * det_all
+    if np.any(disc < -1e-9 * np.maximum(square, 1.0)):
         raise PhysicalityError(
             f"partial-transpose discriminant negative beyond tolerance ({np.min(disc):.3e})"
         )

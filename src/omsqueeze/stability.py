@@ -1,9 +1,12 @@
 """Routh-Hurwitz stability check and the eigenvalue-based cross-check.
 
-The characteristic polynomial of the drift matrix factors exactly as the
-square of a quartic whose coefficients do not involve the pump phase, so
-the analysis runs two independent routes: closed-form Hurwitz minors of
-that quartic, and a direct dense eigensolve of the 8x8 drift.
+The drift splits exactly into a sum and a difference sector, W_+ (+) W_-
+(`matrices.split_sectors`), whose 4x4 characteristic polynomials are the
+same quartic, with coefficients that do not involve the pump phase: that
+is why the 8x8 characteristic polynomial is a perfect square.  The
+analysis runs two independent routes: closed-form Hurwitz minors of that
+quartic, and a dense eigensolve of the two sectors.  `analyze_stack`
+gates many models with one batched eigensolve.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import build_drift
+from .matrices import build_drift, split_sectors
 from .params import ModelParams
 
 # Verdicts within this distance of a zero spectral abscissa are marginal:
@@ -115,8 +118,8 @@ def _hurwitz(c: RhscCoefficients) -> tuple[float, float, float, bool]:
 
 
 def _sort_complex(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
+    """Sort along the last axis by (Re, Im) ascending (numpy's complex order)."""
+    return np.sort(values, axis=-1, kind="stable")
 
 
 def quartic_eigenvalues(m: ModelParams) -> np.ndarray:
@@ -154,29 +157,50 @@ def _enforce_conjugate_pairing(roots: np.ndarray, tol: float) -> None:
 
 
 def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real drift matrix, sorted by (Re, Im) ascending."""
-    return _sort_complex(np.linalg.eigvals(np.asarray(w, dtype=float)))
+    """All 8 eigenvalues of a drift matrix (or of each of a stack), sorted
+    by (Re, Im) ascending.
+
+    One eigensolve of the two 4x4 sectors gives them, so a matrix that
+    does not split raises ValueError.
+    """
+    values = np.linalg.eigvals(split_sectors(w))
+    return _sort_complex(values.reshape(*values.shape[:-2], 8))
+
+
+def analyze_stack(
+    models: list[ModelParams], w: np.ndarray | None = None
+) -> list[StabilityReport]:
+    """`analyze` for many models with one eigensolve of all their sectors.
+
+    `w`, if given, is the stack of their drifts (len(models), 8, 8), so a
+    caller that needs the drifts anyway builds them once.
+    """
+    if w is None:
+        w = np.stack([build_drift(m) for m in models])
+    spectra = drift_eigenvalues(w)
+    abscissae = spectra.real.max(axis=-1).tolist()
+    reports = []
+    for m, eigenvalues, abscissa in zip(models, spectra, abscissae):
+        coeffs = rhsc_coefficients(m)
+        h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
+        eig_stable = abscissa < 0.0
+        marginal = abs(abscissa) < MARGINAL_BAND
+        reports.append(StabilityReport(
+            coefficients=coeffs,
+            h1=h1,
+            h2=h2,
+            h3=h3,
+            s_positive=tuple(s > 0 for s in coeffs.as_tuple()),
+            rhsc_stable=rhsc_stable,
+            eigenvalues=eigenvalues,
+            spectral_abscissa=abscissa,
+            eig_stable=eig_stable,
+            marginal=marginal,
+            consistent=(rhsc_stable == eig_stable) or marginal,
+        ))
+    return reports
 
 
 def analyze(m: ModelParams) -> StabilityReport:
     """Run both stability routes and the consistency cross-check."""
-    coeffs = rhsc_coefficients(m)
-    h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
-    eigenvalues = drift_eigenvalues(build_drift(m))
-    abscissa = float(np.max(eigenvalues.real))
-    eig_stable = abscissa < 0.0
-    marginal = abs(abscissa) < MARGINAL_BAND
-    consistent = (rhsc_stable == eig_stable) or marginal
-    return StabilityReport(
-        coefficients=coeffs,
-        h1=h1,
-        h2=h2,
-        h3=h3,
-        s_positive=tuple(s > 0 for s in coeffs.as_tuple()),
-        rhsc_stable=rhsc_stable,
-        eigenvalues=eigenvalues,
-        spectral_abscissa=abscissa,
-        eig_stable=eig_stable,
-        marginal=marginal,
-        consistent=consistent,
-    )
+    return analyze_stack([m], build_drift(m)[None])[0]

@@ -1,12 +1,13 @@
 """Grid sweeps over model parameters with per-point stability gating.
 
-Each grid point derives the dimensionless model and runs the stability
-analysis; the stable points are then solved in stacks, one Lyapunov solve
-and one metric evaluation per stack, through the kernels a single point
-uses, so the stack size never changes a result.  Unstable points are
-marked (or skipped), never silently zeroed.  Grids are evaluated in
-deterministic row-major order; rerunning a spec reproduces the CSV byte
-for byte.
+Each grid point derives its own dimensionless model; the derived points
+are then handled in stacks: one drift per point, one stability gate over
+the stack (`analyze_stack`, a single batched eigensolve of the 4x4
+sectors), and one Lyapunov solve and one metric evaluation of its stable
+points, through the kernels a single point uses, so the stack size never
+changes a result.  Unstable points are marked (or skipped), never
+silently zeroed.  Grids are evaluated in deterministic row-major order;
+rerunning a spec reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .params import (
     as_direct_drive,
     derive_model,
 )
-from .stability import analyze
+from .stability import analyze_stack
 
-BATCH = 64  # stable points per stack; 64 Kronecker systems of 64x64 take 2 MB
+BATCH = 64  # points per stack; their 4 x 64 sector systems of 16x16 take 0.5 MB
 
 AXIS_NAMES = (
     "lambda_over_kappa",
@@ -54,10 +55,10 @@ _NORMALIZED_ORDER = (
     "g_plus_over_g_minus",
 )
 
-_RAW_FIELDS = (
-    "omega_m", "omega_c", "kappa", "gamma", "g", "lambda_pa", "phi",
-    "temperature", "P_minus", "P_plus", "G_minus", "G_plus",
+_SCALAR_FIELDS = (
+    "omega_m", "omega_c", "kappa", "gamma", "g", "lambda_pa", "phi", "temperature",
 )
+_RAW_FIELDS = _SCALAR_FIELDS + ("P_minus", "P_plus", "G_minus", "G_plus")
 
 OVERRIDE_KEYS = _RAW_FIELDS + AXIS_NAMES
 
@@ -65,9 +66,10 @@ OVERRIDE_KEYS = _RAW_FIELDS + AXIS_NAMES
 def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> PhysicalParams:
     """Apply raw-field and kappa-normalized overrides to a parameter set.
 
-    Unknown keys are hard errors.  Setting a coupling ratio on a
-    power-specified drive first converts it to direct couplings using the
-    current pump gain.
+    Unknown keys are hard errors.  Raw fields apply first, then the
+    normalized ones, each stage as one replace of the parameters (and one
+    of the drive).  Setting a coupling on a power-specified drive first
+    converts it to direct couplings using the current pump gain.
     """
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
@@ -76,46 +78,49 @@ def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> Phys
             f"known names: {sorted(OVERRIDE_KEYS)}"
         )
     p = params
-    for name in _RAW_FIELDS:
-        if name not in overrides:
-            continue
-        value = float(overrides[name])
-        if name in ("P_minus", "P_plus"):
-            if not isinstance(p.drive, PowerDrive):
-                raise ValueError(f"{name} requires a power-specified drive")
-            p = replace(p, drive=replace(p.drive, **{name: value}))
-        elif name in ("G_minus", "G_plus"):
-            drive = p.drive
-            if not isinstance(drive, DirectCouplings):
-                p = as_direct_drive(p)
-            p = replace(p, drive=replace(p.drive, **{name: value}))
-        else:
-            p = replace(p, **{name: value})
-    for name in _NORMALIZED_ORDER:
-        if name not in overrides:
-            continue
-        value = float(overrides[name])
-        if name == "temperature_mk":
-            p = replace(p, temperature=value * 1e-3)
-        elif name == "gamma_over_kappa":
-            p = replace(p, gamma=value * p.kappa)
-        elif name == "lambda_over_kappa":
-            p = replace(p, lambda_pa=value * p.kappa)
-        elif name == "phi_over_pi":
-            p = replace(p, phi=value * math.pi)
-        elif name == "p_plus_over_p_minus":
-            if not isinstance(p.drive, PowerDrive):
-                raise ValueError("p_plus_over_p_minus requires a power-specified drive")
-            p = replace(p, drive=replace(p.drive, P_plus=value * p.drive.P_minus))
-        elif name == "g_minus_over_kappa":
-            if not isinstance(p.drive, DirectCouplings):
-                p = as_direct_drive(p)
-            p = replace(p, drive=replace(p.drive, G_minus=value * p.kappa))
-        elif name == "g_plus_over_g_minus":
-            if not isinstance(p.drive, DirectCouplings):
-                p = as_direct_drive(p)
-            p = replace(p, drive=replace(p.drive, G_plus=value * p.drive.G_minus))
-    return p
+
+    fields = {n: float(overrides[n]) for n in _SCALAR_FIELDS if n in overrides}
+    powers = {n: float(overrides[n]) for n in ("P_minus", "P_plus") if n in overrides}
+    couplings = {n: float(overrides[n]) for n in ("G_minus", "G_plus") if n in overrides}
+    drive = p.drive
+    if powers:
+        if not isinstance(drive, PowerDrive):
+            raise ValueError(f"{next(iter(powers))} requires a power-specified drive")
+        drive = replace(drive, **powers)
+    if couplings:
+        if not isinstance(drive, DirectCouplings):
+            drive = as_direct_drive(replace(p, drive=drive, **fields)).drive
+        drive = replace(drive, **couplings)
+    if fields or drive is not p.drive:
+        p = replace(p, drive=drive, **fields)
+
+    ratio = {n: float(overrides[n]) for n in _NORMALIZED_ORDER if n in overrides}
+    if not ratio:
+        return p
+    fields = {}
+    if "temperature_mk" in ratio:
+        fields["temperature"] = ratio["temperature_mk"] * 1e-3
+    if "gamma_over_kappa" in ratio:
+        fields["gamma"] = ratio["gamma_over_kappa"] * p.kappa
+    if "lambda_over_kappa" in ratio:
+        fields["lambda_pa"] = ratio["lambda_over_kappa"] * p.kappa
+    if "phi_over_pi" in ratio:
+        fields["phi"] = ratio["phi_over_pi"] * math.pi
+    drive = p.drive
+    if "p_plus_over_p_minus" in ratio:
+        if not isinstance(drive, PowerDrive):
+            raise ValueError("p_plus_over_p_minus requires a power-specified drive")
+        drive = replace(drive, P_plus=ratio["p_plus_over_p_minus"] * drive.P_minus)
+    if "g_minus_over_kappa" in ratio or "g_plus_over_g_minus" in ratio:
+        if not isinstance(drive, DirectCouplings):
+            drive = as_direct_drive(replace(p, drive=drive, **fields)).drive
+        g_minus, g_plus = drive.G_minus, drive.G_plus
+        if "g_minus_over_kappa" in ratio:
+            g_minus = ratio["g_minus_over_kappa"] * p.kappa
+        if "g_plus_over_g_minus" in ratio:
+            g_plus = ratio["g_plus_over_g_minus"] * g_minus
+        drive = DirectCouplings(G_minus=g_minus, G_plus=g_plus)
+    return replace(p, drive=drive, **fields)
 
 
 @dataclass(frozen=True)
@@ -264,32 +269,40 @@ def _failed(assignment: dict[str, float], exc: Exception) -> GridPoint:
     )
 
 
-def _solve(pending: list, points: list[GridPoint]) -> None:
-    """Fill in the rows of the stable points waiting as (row, assignment,
-    model), solved as one stack.  If that raises, each point is solved
-    alone, so one bad point is one error row."""
+def _evaluate(pending: list, points: list[GridPoint]) -> None:
+    """Fill in the rows of the derived points waiting as (row, assignment,
+    model): one drift per point, one stability gate over the stack, then
+    one Lyapunov solve and one metric evaluation of its stable points.  If
+    any of that raises, each point is evaluated alone, so one bad point is
+    one error row."""
     try:
-        w = np.stack([build_drift(model) for _, _, model in pending])
-        d = np.stack([build_diffusion(model) for _, _, model in pending])
-        columns = {k: v.tolist() for k, v in metric_row(solve_lyapunov(w, d).sigma).items()}
+        models = [model for _, _, model in pending]
+        w = np.stack([build_drift(model) for model in models])
+        stable = [i for i, report in enumerate(analyze_stack(models, w)) if report.stable]
+        if stable:
+            d = np.stack([build_diffusion(models[i]) for i in stable])
+            sigma = solve_lyapunov(w[stable], d).sigma
+            columns = {k: v.tolist() for k, v in metric_row(sigma).items()}
     except Exception as exc:  # a failed stack is split; a failed point is recorded
         if len(pending) == 1:
             row, assignment, _ = pending[0]
             points[row] = _failed(assignment, exc)
         else:
             for waiting in pending:
-                _solve([waiting], points)
+                _evaluate([waiting], points)
         return
-    for i, (row, assignment, _) in enumerate(pending):
-        metrics = {k: v[i] for k, v in columns.items()}
+    for j, i in enumerate(stable):
+        row, assignment, _ = pending[i]
+        metrics = {k: v[j] for k, v in columns.items()}
         points[row] = GridPoint(dict(assignment), stable=True, metrics=metrics)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point and locate the optimum of each output.
 
-    Each point passes its own stability gate; the stable ones are solved
-    in stacks of `BATCH`, each stack as soon as it is full.
+    Each point derives its own model; the derived points are gated and
+    their stable ones solved in stacks of `BATCH`, each stack as soon as
+    it is full.
     """
     base = spec.base
     if spec.coupling_mode == "direct":
@@ -297,22 +310,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         spec = replace(spec, base=base)
 
     points: list[GridPoint] = []
-    pending = []  # (row, assignment, model) of stable points not yet solved
+    pending = []  # (row, assignment, model) of derived points not yet evaluated
     for assignment in spec.assignments():
         try:
             model = derive_model(apply_overrides(base, assignment))
-            stable = analyze(model).stable
         except Exception as exc:  # per-point failures are recorded, never fatal
             points.append(_failed(assignment, exc))
             continue
-        if stable:
-            pending.append((len(points), assignment, model))
+        pending.append((len(points), assignment, model))
         points.append(GridPoint(dict(assignment), stable=False, metrics=None))
         if len(pending) == BATCH:
-            _solve(pending, points)
+            _evaluate(pending, points)
             pending = []
     if pending:
-        _solve(pending, points)
+        _evaluate(pending, points)
 
     if spec.unstable_policy == "skip":
         points = [p for p in points if p.stable]

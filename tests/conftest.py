@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from omsqueeze import ModelParams, analyze, appendix_c_params, derive_model
+from omsqueeze import (
+    ModelParams,
+    analyze,
+    appendix_c_params,
+    derive_model,
+    log_negativity,
+    symplectic_form,
+)
+from omsqueeze.metrics import PAIR_INDICES
 
 settings.register_profile(
     "ci",
@@ -15,6 +25,10 @@ settings.load_profile("ci")
 PAPER_GAMMA_K = 6.67e-6
 PAPER_N_M = 57.38093736602090
 PAPER_N_C = 1.034917672599024e-13
+# Solver against an oracle (the Kronecker solve, Bartels-Stewart): relative
+# Frobenius error within this many machine epsilons per unit of
+# `condition_estimate`.
+ORACLE_FACTOR = 1e3
 
 
 def model(
@@ -76,6 +90,41 @@ def match_eigenvalue_sets(a, b, tol):
         b.pop(j)
     assert worst <= tol, f"eigenvalue multisets differ by {worst:.3e} > {tol:.0e}"
     return worst
+
+
+def kronecker_lyapunov(w, d):
+    """W sigma + sigma W^T = -D as one n^2 x n^2 system I (x) W + W (x) I
+    (row-major vec), symmetrized: the direct 64x64 solve, kept as an oracle."""
+    n = w.shape[-1]
+    eye = np.eye(n)
+    vec = np.linalg.solve(np.kron(eye, w) + np.kron(w, eye), -d.reshape(n * n))
+    sigma = vec.reshape(n, n)
+    return (sigma + sigma.T) / 2.0
+
+
+def vidal_werner_negativity(sigma, pair):
+    """E_N = sum over nu~ < 1/2 of -log(2 nu~) (Vidal-Werner, PRA 65, 032314)
+    and the nu~: the symplectic eigenvalues of the partially transposed
+    two-mode block, from a numerical eigensolve of i Omega sigma~ (whose
+    eigenvalues are +-nu~)."""
+    idx = list(PAIR_INDICES[pair])
+    block = np.asarray(sigma)[np.ix_(idx, idx)]
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])  # transpose mode 2: p -> -p
+    values = np.linalg.eigvals(1j * symplectic_form(2) @ (flip @ block @ flip)).real
+    nu = np.sort(values)[2:]  # the two positive ones
+    return float(sum(-math.log(2.0 * v) for v in nu if v < 0.5)), nu
+
+
+def assert_negativity_follows_vidal_werner(sigma):
+    """`log_negativity` (determinant formula) against the eigensolve above,
+    for both pairs.  The formula's nu~^2 cancels to an absolute error of
+    about eps |block|^2, so E_N agrees within a few eps |block|^2 / nu~^2."""
+    eps = np.finfo(float).eps
+    for pair, idx in PAIR_INDICES.items():
+        expected, nu = vidal_werner_negativity(sigma, pair)
+        block = np.asarray(sigma)[np.ix_(idx, idx)]
+        bound = 10.0 * eps * (np.linalg.norm(block) / nu.min()) ** 2
+        assert abs(log_negativity(sigma, pair).e_n - expected) <= bound, pair
 
 
 @pytest.fixture(scope="session")

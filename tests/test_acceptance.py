@@ -194,6 +194,14 @@ class TestCriterion5FigureValues:
         assert axes["g_minus_over_kappa"] == 1.0
         _report("5/fig5a", f"{value:.3f} dB at {axes}")
 
+    def test_fig5a_every_point_evaluated(self, figure_results):
+        """G+/G- = 0.999 included: no point is lost to the negativity's
+        rounding band (delta^2 ~ 8e8 there)."""
+        grid = figure_results["fig5a"].grid
+        assert len(grid) == 10201
+        assert sum(p.stable for p in grid) == 10201
+        assert [p for p in grid if p.error is not None] == []
+
     def test_fig5b_optimum(self, figure_results):
         axes, value = _optimum(figure_results, "fig5b")
         assert value == pytest.approx(18.40, abs=0.5), (axes, value)

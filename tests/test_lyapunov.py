@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from omsqueeze import (
     UnstableSystemError,
+    analyze,
     apply_overrides,
     build_diffusion,
     build_drift,
@@ -16,7 +19,45 @@ from omsqueeze import (
     solve_lyapunov,
 )
 
-from conftest import PAPER_N_C, PAPER_N_M, model, random_models
+from omsqueeze.matrices import MODE_1, MODE_2, split_sectors
+
+from conftest import (
+    ORACLE_FACTOR,
+    PAPER_N_C,
+    PAPER_N_M,
+    kronecker_lyapunov,
+    model,
+    random_models,
+)
+
+EPS = np.finfo(float).eps
+
+# Interior of the stable box (G+/G- <= 0.99, Lambda/kappa <= 0.49) at a pump
+# phase bounded away from 0.
+interior_models = st.builds(
+    lambda g_minus, ratio, lam, phi, sign, log_gamma, n_c, n_m: model(
+        G_minus=g_minus, G_plus=ratio * g_minus, lambda_pa=lam, phi=sign * phi,
+        gamma=10.0**log_gamma, n_c=n_c, n_m=n_m,
+    ),
+    g_minus=st.floats(0.01, 0.6),
+    ratio=st.floats(0.0, 0.99),
+    lam=st.floats(0.0, 0.49),
+    phi=st.floats(0.05, np.pi),
+    sign=st.sampled_from([-1.0, 1.0]),
+    log_gamma=st.floats(-6.0, -2.0),
+    n_c=st.floats(0.0, 1.0),
+    n_m=st.floats(0.0, 100.0),
+)
+
+
+def exchange_rotation():
+    """Orthogonal R with R x = (x_+, x_-), x_+- = (x_pair1 +- x_pair2)/sqrt(2),
+    each sector ordered like MODE_1."""
+    r = np.zeros((8, 8))
+    for k, (i, j) in enumerate(zip(MODE_1, MODE_2)):
+        r[k, i] = r[k, j] = r[4 + k, i] = 1.0 / np.sqrt(2.0)
+        r[4 + k, j] = -1.0 / np.sqrt(2.0)
+    return r
 
 
 class TestDecoupledLimits:
@@ -109,7 +150,8 @@ class TestSolveLyapunov:
 
 class TestPrecheck:
     def test_one_eigensolve_per_call(self, appendix_c_model, monkeypatch):
-        """One eigensolve per call, for one drift and for a stack of them."""
+        """One eigensolve of the sectors per call, for one drift and for a
+        stack of them."""
         calls = []
         original = np.linalg.eigvals
 
@@ -120,10 +162,10 @@ class TestPrecheck:
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         solve_lyapunov(w, d)
-        assert calls == [(8, 8)]
+        assert calls == [(2, 4, 4)]
         calls.clear()
         solve_lyapunov(np.stack([w] * 5), np.stack([d] * 5))
-        assert calls == [(5, 8, 8)]
+        assert calls == [(5, 2, 4, 4)]
 
     def test_one_unstable_matrix_rejects_the_stack(self, appendix_c_model):
         stable = build_drift(appendix_c_model)
@@ -136,6 +178,60 @@ class TestPrecheck:
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         with pytest.raises(ValueError, match="congruent"):
             solve_lyapunov(np.stack([w, w]), d)
+
+
+class TestSectorSolve:
+    @settings(max_examples=100)
+    @given(interior_models)
+    def test_agrees_with_kronecker_oracle_and_scipy(self, m):
+        """Within 1e-12 relative of the 64x64 Kronecker solve.  scipy's
+        Bartels-Stewart carries its own error, about eps times the
+        conditioning, which exceeds 1e-12 where the drift has a slow mode
+        (gamma ~ 1e-6), so scipy is held to the larger of the two."""
+        assume(analyze(m).stable)
+        w, d = build_drift(m), build_diffusion(m)
+        solution = solve_lyapunov(w, d)
+        kron = kronecker_lyapunov(w, d)
+        assert np.linalg.norm(solution.sigma - kron) <= 1e-12 * np.linalg.norm(kron)
+        reference = solve_continuous_lyapunov(w, -d)
+        bound = max(1e-12, ORACLE_FACTOR * EPS * solution.condition_estimate)
+        assert np.linalg.norm(solution.sigma - reference) <= bound * np.linalg.norm(reference)
+        assert solution.residual_norm <= 1e-10
+
+    def test_off_sector_blocks_vanish(self):
+        """In the sum/difference quadratures W and sigma are block diagonal,
+        for any pump phase; sigma here is scipy's, not the sector solve's."""
+        r = exchange_rotation()
+        for phi in (0.0, 0.7, 2.5, -1.1):
+            m = model(0.3, 0.2, 0.4, phi)
+            w = build_drift(m)
+            rotated = r @ w @ r.T
+            w_plus, w_minus = split_sectors(w)
+            scale = np.abs(w).max()
+            np.testing.assert_allclose(rotated[:4, 4:], 0.0, atol=1e-15 * scale)
+            np.testing.assert_allclose(rotated[4:, :4], 0.0, atol=1e-15 * scale)
+            np.testing.assert_allclose(rotated[:4, :4], w_plus, rtol=0, atol=1e-15 * scale)
+            np.testing.assert_allclose(rotated[4:, 4:], w_minus, rtol=0, atol=1e-15 * scale)
+            sigma = r @ solve_continuous_lyapunov(w, -build_diffusion(m)) @ r.T
+            scale = np.abs(sigma).max()
+            np.testing.assert_allclose(sigma[:4, 4:], 0.0, atol=1e-14 * scale)
+            np.testing.assert_allclose(sigma[4:, :4], 0.0, atol=1e-14 * scale)
+
+    def test_general_diffusion_against_oracle(self):
+        """A diffusion that mixes the sectors (and is not symmetric) is
+        solved as the symmetrized Kronecker solution."""
+        m = model(0.25, 0.1, 0.3, 0.7)
+        w = build_drift(m)
+        d = np.random.default_rng(7).uniform(-0.5, 0.5, (8, 8)) + 2.0 * np.eye(8)
+        solution = solve_lyapunov(w, d)
+        kron = kronecker_lyapunov(w, d)
+        assert np.linalg.norm(solution.sigma - kron) <= 1e-12 * np.linalg.norm(kron)
+
+    def test_drift_that_does_not_split_is_rejected(self, appendix_c_model):
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        w[0, 2] += 1e-3  # pair 1 now sees pair 2 differently than the reverse
+        with pytest.raises(ValueError, match="sectors"):
+            solve_lyapunov(w, d)
 
 
 class TestStacked:

@@ -15,6 +15,7 @@ from omsqueeze import (
     initial_covariance,
     symplectic_form,
 )
+from omsqueeze.matrices import MODE_1, MODE_2, split_sectors
 
 from conftest import PAPER_GAMMA_K, PAPER_N_M, model
 
@@ -100,6 +101,51 @@ class TestBuildDrift:
         hot = model(0.3, 0.1, 0.2, 0.5, n_c=5.0, n_m=500.0)
         cold = model(0.3, 0.1, 0.2, 0.5, n_c=0.0, n_m=0.0)
         np.testing.assert_array_equal(build_drift(hot), build_drift(cold))
+
+
+class TestSplitSectors:
+    @given(
+        st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(0.0, 0.49),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_sum_and_difference_of_the_pair_blocks(self, gm, gp, lam, phi):
+        w = build_drift(model(gm, gp, lam, phi))
+        a, b = w[np.ix_(MODE_1, MODE_1)], w[np.ix_(MODE_1, MODE_2)]
+        # the exchange symmetry holds exactly, so no rounding enters the split
+        assert np.array_equal(w[np.ix_(MODE_2, MODE_2)], a)
+        assert np.array_equal(w[np.ix_(MODE_2, MODE_1)], b)
+        w_plus, w_minus = split_sectors(w)
+        assert np.array_equal(w_plus, a + b)
+        assert np.array_equal(w_minus, a - b)
+
+    def test_difference_sector_is_the_sum_sector_at_phi_plus_pi(self):
+        m = model(0.3, 0.2, 0.4, 0.7)
+        shifted = model(0.3, 0.2, 0.4, 0.7 + math.pi)
+        np.testing.assert_allclose(
+            split_sectors(build_drift(m))[1], split_sectors(build_drift(shifted))[0],
+            rtol=0, atol=1e-15,
+        )
+
+    def test_leading_batch_axes(self):
+        stack = np.stack([build_drift(model(0.2, 0.1, 0.4, phi)) for phi in (0.0, 1.0, 2.0)])
+        sectors = split_sectors(stack)
+        assert sectors.shape == (3, 2, 4, 4)
+        for i in range(3):
+            assert np.array_equal(sectors[i], split_sectors(stack[i]))
+
+    @pytest.mark.parametrize("entry", [(0, 2), (2, 0), (0, 0), (7, 2)])
+    def test_asymmetric_drift_is_rejected(self, entry):
+        w = build_drift(model(0.2, 0.1, 0.4, 0.3))
+        w[entry] += 1e-12
+        with pytest.raises(ValueError, match="does not split"):
+            split_sectors(w)
+        stack = np.stack([build_drift(model(0.2, 0.1, 0.4, 0.3)), w])
+        with pytest.raises(ValueError, match="does not split"):
+            split_sectors(stack)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="8x8"):
+            split_sectors(np.zeros((4, 4)))
 
 
 class TestBuildDiffusion:

@@ -10,9 +10,12 @@ from omsqueeze import (
     METRIC_COLUMNS,
     THREE_DB,
     PhysicalityError,
+    apply_overrides,
     build_diffusion,
     build_drift,
     collective_variances,
+    derive_model,
+    figure_preset,
     log_negativity,
     metric_row,
     physicality_check,
@@ -22,7 +25,13 @@ from omsqueeze import (
     squeezing_result,
 )
 
-from conftest import PAPER_N_M, model, random_models
+from conftest import (
+    PAPER_N_M,
+    assert_negativity_follows_vidal_werner,
+    model,
+    random_models,
+    vidal_werner_negativity,
+)
 
 VACUUM = 0.5 * np.eye(8)
 
@@ -157,6 +166,30 @@ class TestLogNegativity:
         with pytest.raises(PhysicalityError):
             log_negativity(sigma, "cc")
 
+    def test_discriminant_band_scales_with_delta(self):
+        """fig5a at G+/G- = 0.999: delta^2 ~ 8e8, and rounding alone leaves
+        the discriminant at about -1e-7, past an absolute 1e-9 band."""
+        spec = figure_preset("fig5a")
+        for g_minus in (0.02, 0.03, 0.07, 0.09, 0.16):
+            assignment = {"g_minus_over_kappa": g_minus, "g_plus_over_g_minus": 0.999}
+            assert any(a == pytest.approx(assignment) for a in spec.assignments())
+            m = derive_model(apply_overrides(spec.base, assignment))
+            row = metric_row(steady_sigma(m))
+            assert all(math.isfinite(v) for v in row.values())
+            assert row["physical"] == 1.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_negative_discriminant_beyond_band_raises(self, scale):
+        """delta = 0 and delta^2 - 4 det = -4 scale^4: far outside the band."""
+        block = scale * np.array([
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, -1.0, 0.0],
+            [0.0, -1.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, -2.0],
+        ])
+        with pytest.raises(PhysicalityError, match="discriminant negative"):
+            log_negativity(embed(block, [0, 1, 2, 3]), "cc")
+
     def test_invariant_under_joint_local_rotations(self):
         theta = 0.77
         c, s = math.cos(theta), math.sin(theta)
@@ -169,6 +202,17 @@ class TestLogNegativity:
         a = log_negativity(sigma, "mm").e_n
         b = log_negativity(rotated, "mm").e_n
         assert b == pytest.approx(a, abs=1e-9)
+
+
+class TestVidalWerner:
+    def test_determinant_formula_matches_symplectic_eigensolve(self):
+        for m, _ in random_models(60, seed=20251019, stable=True):
+            assert_negativity_follows_vidal_werner(steady_sigma(m))
+
+    def test_ideal_two_mode_squeezing(self):
+        sigma = embed(two_mode_squeezed_block(0.4), [0, 1, 2, 3])
+        assert vidal_werner_negativity(sigma, "cc")[0] == pytest.approx(0.8, abs=1e-12)
+        assert_negativity_follows_vidal_werner(sigma)
 
 
 class TestPhysicality:

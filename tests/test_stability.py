@@ -1,11 +1,14 @@
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from omsqueeze import (
+    StabilityReport,
     analyze,
+    analyze_stack,
     build_drift,
     drift_eigenvalues,
     quartic_eigenvalues,
@@ -113,6 +116,19 @@ class TestDriftEigenvalues:
         keys = [(ev.real, ev.imag) for ev in eigs]
         assert keys == sorted(keys)
 
+    def test_stack_equals_per_matrix_calls(self):
+        stack = np.stack([build_drift(m) for m in random_models(10, seed=20251020)])
+        eigs = drift_eigenvalues(stack)
+        assert eigs.shape == (10, 8)
+        for i in range(10):
+            assert np.array_equal(eigs[i], drift_eigenvalues(stack[i]))
+
+    def test_drift_that_does_not_split_is_rejected(self):
+        w = build_drift(model(0.2, 0.1, 0.4))
+        w[1, 2] += 1e-3
+        with pytest.raises(ValueError, match="sectors"):
+            drift_eigenvalues(w)
+
     def test_appendix_c_doubles_the_quartic(self):
         m = model(0.2, 0.1, 0.4)
         quartic = quartic_eigenvalues(m)
@@ -213,3 +229,21 @@ class TestAnalyze:
             assert key in payload
         assert {"re", "im"} == set(payload["eigenvalues"][0])
         assert len(payload["eigenvalues"]) == 8
+
+
+class TestAnalyzeStack:
+    def test_equals_per_point_reports_bit_for_bit(self):
+        models = random_models(40, seed=20251021)  # stable and unstable draws
+        assert len({analyze(m).stable for m in models}) == 2
+        w = np.stack([build_drift(m) for m in models])
+        for stacked in (analyze_stack(models), analyze_stack(models, w)):
+            assert len(stacked) == len(models)
+            for m, report in zip(models, stacked):
+                single = analyze(m)
+                for field in fields(StabilityReport):
+                    got, want = getattr(report, field.name), getattr(single, field.name)
+                    assert type(got) is type(want), field.name
+                    if field.name == "eigenvalues":
+                        assert np.array_equal(got, want)
+                    else:
+                        assert got == want, field.name

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omsqueeze import (
     DirectCouplings,
@@ -13,12 +16,15 @@ from omsqueeze import (
     TracePreset,
     appendix_c_params,
     apply_overrides,
+    as_direct_drive,
     coupling_base,
+    derive_model,
     figure_preset,
     find_optimum,
     paper_base,
     run_sweep,
 )
+from omsqueeze.sweep import _NORMALIZED_ORDER, _RAW_FIELDS, OVERRIDE_KEYS
 
 
 def direct_spec(**kwargs):
@@ -35,7 +41,97 @@ def direct_spec(**kwargs):
     return SweepSpec(**defaults)
 
 
+def sequential_overrides(params, overrides):
+    """Reference: one validated `replace` per override, raw fields then the
+    normalized ones, each in its fixed order."""
+    unknown = set(overrides) - set(OVERRIDE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown parameter names: {sorted(unknown)}")
+    p = params
+    for name in _RAW_FIELDS:
+        if name not in overrides:
+            continue
+        value = float(overrides[name])
+        if name in ("P_minus", "P_plus"):
+            if not isinstance(p.drive, PowerDrive):
+                raise ValueError(f"{name} requires a power-specified drive")
+            p = replace(p, drive=replace(p.drive, **{name: value}))
+        elif name in ("G_minus", "G_plus"):
+            if not isinstance(p.drive, DirectCouplings):
+                p = as_direct_drive(p)
+            p = replace(p, drive=replace(p.drive, **{name: value}))
+        else:
+            p = replace(p, **{name: value})
+    for name in _NORMALIZED_ORDER:
+        if name not in overrides:
+            continue
+        value = float(overrides[name])
+        if name == "temperature_mk":
+            p = replace(p, temperature=value * 1e-3)
+        elif name == "gamma_over_kappa":
+            p = replace(p, gamma=value * p.kappa)
+        elif name == "lambda_over_kappa":
+            p = replace(p, lambda_pa=value * p.kappa)
+        elif name == "phi_over_pi":
+            p = replace(p, phi=value * math.pi)
+        elif name == "p_plus_over_p_minus":
+            if not isinstance(p.drive, PowerDrive):
+                raise ValueError("p_plus_over_p_minus requires a power-specified drive")
+            p = replace(p, drive=replace(p.drive, P_plus=value * p.drive.P_minus))
+        elif name == "g_minus_over_kappa":
+            if not isinstance(p.drive, DirectCouplings):
+                p = as_direct_drive(p)
+            p = replace(p, drive=replace(p.drive, G_minus=value * p.kappa))
+        elif name == "g_plus_over_g_minus":
+            if not isinstance(p.drive, DirectCouplings):
+                p = as_direct_drive(p)
+            p = replace(p, drive=replace(p.drive, G_plus=value * p.drive.G_minus))
+    return p
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _override_values(name):
+    """Typical, boundary and invalid values on each override's own scale."""
+    base = paper_base()
+    if name in ("P_minus", "P_plus"):
+        scale = base.drive.P_minus
+    elif name in ("G_minus", "G_plus"):
+        scale = 0.3 * base.kappa
+    else:  # a raw field's own value; 1 for the normalized names
+        scale = abs(getattr(base, name, 1.0)) or 1.0
+    return st.one_of(
+        st.floats(0.0, 2.0).map(lambda x: x * scale),
+        st.sampled_from([-1.0, 0.0, math.nan, math.inf, 1e300]),
+    )
+
+
+override_dicts = st.sets(st.sampled_from(OVERRIDE_KEYS), max_size=6).flatmap(
+    lambda names: st.fixed_dictionaries({n: _override_values(n) for n in sorted(names)})
+)
+
+
 class TestApplyOverrides:
+    @settings(max_examples=150)
+    @given(st.sampled_from(["paper", "appendixC", "coupling"]), override_dicts)
+    def test_matches_one_replace_per_override(self, base_name, overrides):
+        """Same parameters, or the same exception type, as the sequential
+        reference on power and direct drives."""
+        base = {"paper": paper_base, "appendixC": appendix_c_params,
+                "coupling": coupling_base}[base_name]()
+        expected = _outcome(sequential_overrides, base, overrides)
+        got = _outcome(apply_overrides, base, overrides)
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected), (got, expected)
+        else:
+            assert got == expected
+
+
     def test_normalized_units(self):
         p = apply_overrides(
             appendix_c_params(),
@@ -235,6 +331,35 @@ class TestRunSweep:
         row = marked + 1  # after the header
         assert after[:row] + after[row + 1:] == before[:row] + before[row + 1:]
         assert after[row].endswith(",nan,0,nan")
+
+    def test_gate_failure_inside_a_stack_is_one_error_row(self, tmp_path, monkeypatch):
+        """A stability gate that raises for one model of a stack falls back
+        to gating (and solving) each point alone."""
+        import omsqueeze.sweep as sweep_module
+        from omsqueeze.errors import ThresholdError
+
+        spec = self._mixed_spec()
+        clean = run_sweep(spec)
+        marked = 3
+        target = derive_model(apply_overrides(spec.base, spec.assignments()[marked]))
+        original = sweep_module.analyze_stack
+        sizes = []
+
+        def failing_on_marked(models, w=None):
+            sizes.append(len(models))
+            if target in models:
+                raise ThresholdError("marked model")
+            return original(models, w)
+
+        monkeypatch.setattr(sweep_module, "analyze_stack", failing_on_marked)
+        result = run_sweep(spec)
+        derived = len(spec.assignments()) - 1  # one point fails in its overrides
+        assert sizes == [derived] + [1] * derived
+        assert result.grid[marked].error == "ThresholdError: marked model"
+        assert not result.grid[marked].stable and result.grid[marked].metrics is None
+        for i, (before, after) in enumerate(zip(clean.grid, result.grid)):
+            if i != marked:
+                assert after == before
 
     def test_csv_layout(self, tmp_path):
         spec = direct_spec(

@@ -16,13 +16,15 @@ from omsqueeze import (
     solve_lyapunov,
 )
 
-from conftest import model
+from conftest import (
+    ORACLE_FACTOR,
+    assert_negativity_follows_vidal_werner,
+    kronecker_lyapunov,
+    model,
+)
 
 LAMBDA_CAP = 0.4999
 RATIO_CAP = 0.999
-# Kronecker solve against Bartels-Stewart: relative Frobenius error within
-# this many machine epsilons per unit of `condition_estimate`.
-ORACLE_FACTOR = 1e3
 
 edge_models = st.builds(
     lambda lam_gap, ratio_gap, g_minus, phi, log_gamma, n_c, n_m: model(
@@ -66,9 +68,10 @@ def test_threshold_edge_solves(models):
         single = solve_lyapunov(w[i], d[i])
         assert np.array_equal(stacked.sigma[i], single.sigma)
 
-        oracle = solve_continuous_lyapunov(w[i], -d[i])
-        error = np.linalg.norm(single.sigma - oracle) / np.linalg.norm(oracle)
-        assert error <= ORACLE_FACTOR * eps * single.condition_estimate
+        for oracle in (kronecker_lyapunov(w[i], d[i]),
+                       solve_continuous_lyapunov(w[i], -d[i])):
+            error = np.linalg.norm(single.sigma - oracle) / np.linalg.norm(oracle)
+            assert error <= ORACLE_FACTOR * eps * single.condition_estimate
 
         assert physicality_check(single.sigma)
         singles.append(_outcome(metric_row, single.sigma))
@@ -78,3 +81,14 @@ def test_threshold_edge_solves(models):
             assert {k: float(v[i]) for k, v in rows.items()} == row
     else:  # the stack fails exactly where one of its points fails alone
         assert rows in singles
+
+
+@settings(max_examples=60)
+@given(edge_models)
+def test_negativity_follows_vidal_werner(m):
+    """E_N where delta - sqrt(disc) cancels, against the symplectic
+    eigensolve of the partially transposed blocks."""
+    assume(analyze(m).stable)
+    assert_negativity_follows_vidal_werner(
+        solve_lyapunov(build_drift(m), build_diffusion(m)).sigma
+    )
