@@ -1,13 +1,15 @@
 """Steady-state covariance from the continuous-time Lyapunov equation.
 
 Solves W sigma + sigma W^T = -D in the sum/difference quadratures, where
-the drift is block diagonal, W = W_+ (+) W_- (`matrices.split_sectors`).
-Each 4x4 block sigma_ij of the rotated covariance then solves its own
-Sylvester equation W_i sigma_ij + sigma_ij W_j^T = -D_ij, a 16x16 dense
-system; D may be any 8x8 matrix, so the mixed blocks are solved too.  The
-rotation has entries +-1/2 per block pair, so it adds no rounding beyond
-its sums.  Every solve first checks strict stability on the spectrum of
-the two sectors; no caller can skip that check.
+the drift and the diffusion are both block diagonal, W = W_+ (+) W_- and
+D = D_+ (+) D_- (`matrices.split_sectors`), so the steady state is
+sigma_+ (+) sigma_-.  Each sector solves its own Lyapunov equation
+W_s sigma_s + sigma_s W_s^T = -D_s as a 16x16 dense system, and
+`matrices.join_sectors` rotates the pair back; the rotation has entries
++-1/2 per block pair, so it adds no rounding beyond its sums.  A W or a D
+that does not split raises ValueError.  Every solve first checks strict
+stability on the spectrum of the two sectors; no caller can skip that
+check.
 
 W and D may be stacks (..., 8, 8): each matrix is solved as it would be
 alone, so a sweep solves many grid points in one call.
@@ -20,11 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdError, UnstableSystemError
-from .matrices import MODE_1, MODE_2, split_sectors
+from .matrices import join_sectors, split_sectors
 from .stability import MARGINAL_BAND
-
-# Quadratures reordered pair by pair; the permutation is its own inverse.
-_PAIRS = np.concatenate([MODE_1, MODE_2])
 
 
 @dataclass(frozen=True)
@@ -43,13 +42,14 @@ def residual(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(r, axis=(-2, -1)) / np.linalg.norm(d, axis=(-2, -1))))
 
 
-def _exchange(blocks: np.ndarray) -> np.ndarray:
-    """Blocks [r, c] (..., 2, 2, 4, 4) of a matrix over the pairs (1, 2) as
-    blocks over the sectors (+, -), and back: the rotation is an involution."""
-    rows = np.stack([blocks[..., 0, :, :, :] + blocks[..., 1, :, :, :],
-                     blocks[..., 0, :, :, :] - blocks[..., 1, :, :, :]], axis=-4)
-    return np.stack([rows[..., 0, :, :] + rows[..., 1, :, :],
-                     rows[..., 0, :, :] - rows[..., 1, :, :]], axis=-3) / 2.0
+def _sector_operator(sectors: np.ndarray) -> np.ndarray:
+    """I (x) W_s + W_s (x) I for each sector of a (..., 2, 4, 4) stack: the
+    Lyapunov operator on the row-major vec of sigma_s, as (..., 2, 16, 16)."""
+    op = np.zeros((*sectors.shape[:-2], 4, 4, 4, 4))  # indexed [..., p, a, q, b]
+    for k in range(4):
+        op[..., k, :, k, :] += sectors
+        op[..., :, k, :, k] += sectors
+    return op.reshape(*sectors.shape[:-2], 16, 16)
 
 
 def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
@@ -59,7 +59,8 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
     system is exactly singular whenever two drift eigenvalues sum to zero,
     and a clean rejection beats a garbage solve.  One eigensolve per call,
     over the (..., 2, 4, 4) stack of sectors, serves both the precheck and
-    the condition estimate.  A drift that does not split raises ValueError.
+    the condition estimate.  A drift or a diffusion that does not split
+    raises ValueError.
     """
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -67,6 +68,7 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
         raise ValueError("drift and diffusion matrices must be square and congruent")
     batch = w.shape[:-2]
     sectors = split_sectors(w)
+    rhs = -split_sectors(d).reshape(*batch, 2, 16, 1)
 
     eigenvalues = np.linalg.eigvals(sectors).reshape(*batch, 8)
     spectral_abscissa = float(np.max(eigenvalues.real))
@@ -77,23 +79,13 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
             f"strict-stability precheck (required < -{MARGINAL_BAND:.0e})"
         )
 
-    # W_i (x) I + I (x) W_j for each sector pair (i, j), acting on the
-    # row-major vec of sigma_ij and indexed [..., i, j, p, a, q, b]; the
-    # right-hand sides are (..., 2, 2, 16, 1).
-    kron = np.zeros((*batch, 2, 2, 4, 4, 4, 4))
-    for k in range(4):
-        kron[..., k, :, k, :] += sectors[..., None, :, :, :]
-        kron[..., :, k, :, k] += sectors[..., :, None, :, :]
-    kron = kron.reshape(*batch, 2, 2, 16, 16)
-    pairs = d[..., _PAIRS[:, None], _PAIRS].reshape(*batch, 2, 4, 2, 4).swapaxes(-3, -2)
-    rhs = -_exchange(pairs).reshape(*batch, 2, 2, 16, 1)
     try:
-        vec = np.linalg.solve(kron, rhs)
+        vec = np.linalg.solve(_sector_operator(sectors), rhs)
     except np.linalg.LinAlgError as exc:
         raise ThresholdError(f"sector Lyapunov system is singular: {exc}") from exc
-    blocks = _exchange(vec.reshape(*batch, 2, 2, 4, 4))
-    sigma = blocks.swapaxes(-3, -2).reshape(*batch, 8, 8)[..., _PAIRS[:, None], _PAIRS]
-    sigma = (sigma + sigma.swapaxes(-1, -2)) / 2.0
+    sigma = join_sectors(vec.reshape(*batch, 2, 4, 4))
+    # + 0.0 turns -0.0 into 0.0: the sign of an exact zero follows the pivots
+    sigma = (sigma + sigma.swapaxes(-1, -2)) / 2.0 + 0.0
 
     sums = np.abs(eigenvalues[..., :, None] + eigenvalues[..., None, :])
     condition = float(np.max(np.max(sums, axis=(-2, -1)) / np.min(sums, axis=(-2, -1))))

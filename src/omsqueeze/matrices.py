@@ -8,9 +8,11 @@ with x = (a' + a)/sqrt(2), y = i(a' - a)/sqrt(2), so a single vacuum mode
 has variance 1/2 on each quadrature.
 
 The model is symmetric under exchanging the two cavity-mechanics pairs, so
-in the sum/difference quadratures (q_1 +- q_2)/sqrt(2) the drift splits
-exactly into two 4x4 sectors W_+ (+) W_-; `split_sectors` reads them off
-by index arithmetic, and the solvers work on those sectors.
+in the sum/difference quadratures (q_1 +- q_2)/sqrt(2) the drift and the
+diffusion split exactly into two 4x4 sectors, W_+ (+) W_- and D_+ (+) D_-.
+This module is the only one that knows that basis: `split_sectors` reads
+the sectors off by index arithmetic, `join_sectors` rotates them back, and
+the solvers work on the sectors in between.
 """
 
 from __future__ import annotations
@@ -61,27 +63,42 @@ def build_drift(m: ModelParams) -> np.ndarray:
     )
 
 
-def split_sectors(w: np.ndarray) -> np.ndarray:
-    """The sum and difference sectors of an 8x8 drift (or a stack), as
-    (..., 2, 4, 4): [..., 0, :, :] is W_+ and [..., 1, :, :] is W_-.
+def split_sectors(x: np.ndarray) -> np.ndarray:
+    """The sum and difference sectors of an 8x8 matrix (or a stack), as
+    (..., 2, 4, 4): [..., 0, :, :] is S_+ and [..., 1, :, :] is S_-.
 
-    With A the pair-1 block and B the pair-1 <- pair-2 block, a drift that
+    With A the pair-1 block and B the pair-1 <- pair-2 block, a matrix that
     is symmetric under the pair exchange (pair-2 blocks equal to A and B
-    exactly, as `build_drift` places them) splits as W_+ = A + B and
-    W_- = A - B in the quadratures (q_1 +- q_2)/sqrt(2), ordered as
-    MODE_1.  Any other matrix raises ValueError.
+    exactly, as `build_drift` and `build_diffusion` place them) splits as
+    S_+ = A + B and S_- = A - B in the quadratures (q_1 +- q_2)/sqrt(2),
+    ordered as MODE_1.  Any other matrix raises ValueError.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape[-2:] != (8, 8):
-        raise ValueError(f"expected an 8x8 drift matrix, got {w.shape}")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix, got {x.shape}")
     # quadrature index = 4 (cavity, mechanics) + 2 pair + (x, y), rows then columns
-    blocks = w.reshape(*w.shape[:-2], 2, 2, 2, 2, 2, 2)
+    blocks = x.reshape(*x.shape[:-2], 2, 2, 2, 2, 2, 2)
     pair_1, pair_2 = blocks[..., :, 0, :, :, :, :], blocks[..., :, 1, :, :, :, :]
-    if not (pair_2[..., ::-1, :] == pair_1).all():  # [W_21, W_22] == [W_12, W_11]
-        raise ValueError("drift does not split into sum and difference sectors")
+    if not (pair_2[..., ::-1, :] == pair_1).all():  # [X_21, X_22] == [X_12, X_11]
+        raise ValueError("matrix does not split into sum and difference sectors")
     a = pair_1[..., None, :, :, :, 0, :]
     b = pair_1[..., None, :, :, :, 1, :]
-    return (a + _SECTOR_SIGNS * b).reshape(*w.shape[:-2], 2, 4, 4)
+    return (a + _SECTOR_SIGNS * b).reshape(*x.shape[:-2], 2, 4, 4)
+
+
+def join_sectors(sectors: np.ndarray) -> np.ndarray:
+    """The 8x8 matrix (or stack) whose sectors are `sectors` (..., 2, 4, 4):
+    the inverse of `split_sectors`, with pair blocks A = (S_+ + S_-)/2 and
+    B = (S_+ - S_-)/2."""
+    s = np.asarray(sectors, dtype=float)
+    if s.shape[-3:] != (2, 4, 4):
+        raise ValueError(f"expected (..., 2, 4, 4) sectors, got {s.shape}")
+    s = s.reshape(*s.shape[:-3], 2, 2, 2, 2, 2)  # [sector, (c, m), (x, y)] twice
+    a = (s[..., 0, :, :, :, :] + s[..., 1, :, :, :, :]) / 2.0
+    b = (s[..., 0, :, :, :, :] - s[..., 1, :, :, :, :]) / 2.0
+    pair_1 = np.stack([a, b], axis=-2)  # column pair inserted before (x, y)
+    blocks = np.stack([pair_1, pair_1[..., ::-1, :]], axis=-5)  # row pair likewise
+    return blocks.reshape(*s.shape[:-5], 8, 8)
 
 
 def build_diffusion(m: ModelParams) -> np.ndarray:

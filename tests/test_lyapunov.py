@@ -19,10 +19,12 @@ from omsqueeze import (
     solve_lyapunov,
 )
 
+from omsqueeze.lyapunov import _sector_operator
 from omsqueeze.matrices import MODE_1, MODE_2, split_sectors
 
 from conftest import (
     ORACLE_FACTOR,
+    PAPER_GAMMA_K,
     PAPER_N_C,
     PAPER_N_M,
     kronecker_lyapunov,
@@ -48,6 +50,14 @@ interior_models = st.builds(
     n_c=st.floats(0.0, 1.0),
     n_m=st.floats(0.0, 100.0),
 )
+
+
+def exchange_symmetric(a, b):
+    """The 8x8 matrix with pair blocks [[A, B], [B, A]] over MODE_1, MODE_2."""
+    x = np.zeros((8, 8))
+    x[np.ix_(MODE_1, MODE_1)] = x[np.ix_(MODE_2, MODE_2)] = a
+    x[np.ix_(MODE_1, MODE_2)] = x[np.ix_(MODE_2, MODE_1)] = b
+    return x
 
 
 def exchange_rotation():
@@ -128,7 +138,7 @@ class TestSolveLyapunov:
         m = model(0.25, 0.1, 0.3, 0.7)
         w = build_drift(m)
         d1 = build_diffusion(m)
-        d2 = np.diag(np.linspace(0.1, 0.8, 8))
+        d2 = exchange_symmetric(np.diag(np.linspace(0.1, 0.8, 4)), np.zeros((4, 4)))
         s1 = solve_lyapunov(w, d1).sigma
         s2 = solve_lyapunov(w, d2).sigma
         s12 = solve_lyapunov(w, d1 + d2).sigma
@@ -149,23 +159,28 @@ class TestSolveLyapunov:
 
 
 class TestPrecheck:
-    def test_one_eigensolve_per_call(self, appendix_c_model, monkeypatch):
-        """One eigensolve of the sectors per call, for one drift and for a
-        stack of them."""
+    def test_one_eigensolve_and_one_solve_per_call(self, appendix_c_model, monkeypatch):
+        """One eigensolve of the sectors and one linear solve of the two
+        sector systems per call, for one drift and for a stack of them."""
         calls = []
-        original = np.linalg.eigvals
+        eigvals, solve = np.linalg.eigvals, np.linalg.solve
 
-        def counting(w):
-            calls.append(np.shape(w))
-            return original(w)
+        def counting_eigvals(w):
+            calls.append(("eigvals", np.shape(w)))
+            return eigvals(w)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        def counting_solve(a, b):
+            calls.append(("solve", np.shape(a)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         solve_lyapunov(w, d)
-        assert calls == [(2, 4, 4)]
+        assert calls == [("eigvals", (2, 4, 4)), ("solve", (2, 16, 16))]
         calls.clear()
         solve_lyapunov(np.stack([w] * 5), np.stack([d] * 5))
-        assert calls == [(5, 2, 4, 4)]
+        assert calls == [("eigvals", (5, 2, 4, 4)), ("solve", (5, 2, 16, 16))]
 
     def test_one_unstable_matrix_rejects_the_stack(self, appendix_c_model):
         stable = build_drift(appendix_c_model)
@@ -218,20 +233,63 @@ class TestSectorSolve:
             np.testing.assert_allclose(sigma[4:, :4], 0.0, atol=1e-14 * scale)
 
     def test_general_diffusion_against_oracle(self):
-        """A diffusion that mixes the sectors (and is not symmetric) is
-        solved as the symmetrized Kronecker solution."""
+        """A non-symmetric diffusion that splits with B != 0, so D_+ != D_-,
+        is solved as the symmetrized Kronecker solution."""
         m = model(0.25, 0.1, 0.3, 0.7)
         w = build_drift(m)
-        d = np.random.default_rng(7).uniform(-0.5, 0.5, (8, 8)) + 2.0 * np.eye(8)
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-0.5, 0.5, (4, 4)) + 2.0 * np.eye(4)
+        b = rng.uniform(-0.5, 0.5, (4, 4))
+        d = exchange_symmetric(a, b)
+        d_plus, d_minus = split_sectors(d)
+        assert not np.allclose(d_plus, d_minus)
         solution = solve_lyapunov(w, d)
         kron = kronecker_lyapunov(w, d)
         assert np.linalg.norm(solution.sigma - kron) <= 1e-12 * np.linalg.norm(kron)
+
+    def test_diffusion_that_does_not_split_is_rejected(self):
+        m = model(0.25, 0.1, 0.3, 0.7)
+        d = build_diffusion(m)
+        d[0, 0] += 1e-3  # pair 1 no longer sees the same noise as pair 2
+        with pytest.raises(ValueError, match="does not split"):
+            solve_lyapunov(build_drift(m), d)
 
     def test_drift_that_does_not_split_is_rejected(self, appendix_c_model):
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         w[0, 2] += 1e-3  # pair 1 now sees pair 2 differently than the reverse
         with pytest.raises(ValueError, match="sectors"):
             solve_lyapunov(w, d)
+
+
+class TestOrlando:
+    """The sector operator I (x) W_s + W_s (x) I has the eigenvalues
+    l_i + l_j of W_s, so its determinant is prod_i 2 l_i * prod_{i<j}
+    (l_i + l_j)^2 = 16 s4 h3^2 by Orlando's formula (Gantmacher, The Theory
+    of Matrices II, ch. XV): the sector solve is singular exactly where the
+    RHSC minor h3 vanishes."""
+
+    def test_determinant_is_16_s4_h3_squared(self):
+        for m, report in random_models(20, seed=20251101, stable=True):
+            op = _sector_operator(split_sectors(build_drift(m)))
+            expected = 16.0 * report.coefficients.s4 * report.h3**2
+            np.testing.assert_allclose(np.linalg.det(op), [expected] * 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [PAPER_GAMMA_K, 1e-3, 1e-2])
+    @pytest.mark.parametrize("g_minus, g_plus", [(0.0, 0.0), (0.3, 0.1), (0.2, 0.25)])
+    def test_singular_where_h3_vanishes(self, gamma, g_minus, g_plus):
+        """h3 has (kappa + gamma)^2 - 4 Lambda^2 as a factor, so both sector
+        operators are singular at Lambda = (kappa + gamma)/2, and well
+        conditioned a little inside it."""
+
+        def smallest_singular_ratio(lam):
+            op = _sector_operator(split_sectors(build_drift(
+                model(g_minus, g_plus, lam, 0.7, gamma=gamma))))
+            values = np.linalg.svd(op, compute_uv=False)
+            return values[..., -1] / values[..., 0]
+
+        edge = (1.0 + gamma) / 2.0
+        assert np.all(smallest_singular_ratio(edge) <= 1e-14)
+        assert np.all(smallest_singular_ratio(edge - 0.05) >= 1e-6)
 
 
 class TestStacked:

@@ -15,7 +15,7 @@ from omsqueeze import (
     initial_covariance,
     symplectic_form,
 )
-from omsqueeze.matrices import MODE_1, MODE_2, split_sectors
+from omsqueeze.matrices import MODE_1, MODE_2, join_sectors, split_sectors
 
 from conftest import PAPER_GAMMA_K, PAPER_N_M, model
 
@@ -146,6 +146,34 @@ class TestSplitSectors:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="8x8"):
             split_sectors(np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="sectors"):
+            join_sectors(np.zeros((4, 4)))
+
+    def test_diffusion_splits_into_equal_sectors(self):
+        d = build_diffusion(model(0.2, 0.1, 0.4, 0.3, n_c=0.3, n_m=20.0))
+        d_plus, d_minus = split_sectors(d)
+        assert np.array_equal(d_plus, d[np.ix_(MODE_1, MODE_1)])
+        assert np.array_equal(d_minus, d_plus)
+
+    def test_join_inverts_split_exactly(self):
+        """Exact wherever A +- B and their halves round to nothing: here on
+        small integers (one matrix or a stack) and on a diffusion (B = 0)."""
+        pair = np.random.default_rng(11).integers(-8, 9, (5, 2, 4, 4)).astype(float)
+        integers = np.zeros((5, 8, 8))
+        for rows, cols, block in ((MODE_1, MODE_1, 0), (MODE_2, MODE_2, 0),
+                                  (MODE_1, MODE_2, 1), (MODE_2, MODE_1, 1)):
+            integers[:, rows[:, None], cols] = pair[:, block]
+        for x in (integers, integers[0], build_diffusion(model(n_c=0.3, n_m=20.0))):
+            sectors = split_sectors(x)
+            assert np.array_equal(join_sectors(sectors), x)
+            assert np.array_equal(split_sectors(join_sectors(sectors)), sectors)
+
+    def test_join_inverts_split_of_a_drift_to_rounding(self):
+        """A drift's pump entries share their pair-block slot with -kappa/2,
+        so (S_+ - S_-)/2 gives them back within one rounding of kappa/2."""
+        stack = np.stack([build_drift(model(0.2, 0.1, 0.4, phi)) for phi in (0.0, 1.0, 2.0)])
+        joined = join_sectors(split_sectors(stack))
+        np.testing.assert_allclose(joined, stack, rtol=0, atol=np.finfo(float).eps / 2)
 
 
 class TestBuildDiffusion:
