@@ -94,7 +94,9 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
     """Logarithmic negativity of one two-mode block (vacuum variance 1/2).
 
     Uses the smaller symplectic eigenvalue of the partially transposed
-    block, from the determinant form of the 2x2 sub-blocks.  Determinant
+    block, from the determinant form of the 2x2 sub-blocks: nu~_-^2 is the
+    smaller root of x^2 - delta x + det, taken as det over the larger one
+    so that it does not cancel near threshold.  Determinant
     arithmetic loses ~1e-12 on near-pure states, so sqrt arguments are
     clipped at zero within a 1e-9 band and flagged beyond it; the
     discriminant delta^2 - 4 det cancels to within rounding of delta^2,
@@ -120,7 +122,11 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
         raise PhysicalityError(
             f"partial-transpose discriminant negative beyond tolerance ({np.min(disc):.3e})"
         )
-    inner = (delta - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    # nu~_-^2 = (delta - root)/2 cancels as Lambda -> kappa/2; the product of
+    # the two roots, det, gives it as 2 det / (delta + root) instead
+    root = np.sqrt(np.maximum(disc, 0.0))
+    plus = delta + root
+    inner = np.divide(2.0 * det_all, plus, out=np.asarray((delta - root) / 2.0), where=plus > 0.0)
     if np.any(inner < -1e-9):
         raise PhysicalityError(
             f"squared symplectic eigenvalue negative beyond tolerance ({np.min(inner):.3e})"

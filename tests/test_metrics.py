@@ -178,6 +178,22 @@ class TestLogNegativity:
             assert all(math.isfinite(v) for v in row.values())
             assert row["physical"] == 1.0
 
+    def test_flat_at_the_pump_threshold(self):
+        """fig2a at Lambda/kappa = 0.4999 (G+ = 0): E_N(cc) does not depend on
+        the pump phase there, and nu~_-^2 = (delta - root)/2 would cancel to
+        a spread of about 5e-9 across the 101 phases of the row."""
+        spec = figure_preset("fig2a")
+        row = [a for a in spec.assignments() if a["lambda_over_kappa"] == 0.4999]
+        assert len(row) == 101
+        models = [derive_model(apply_overrides(spec.base, a)) for a in row]
+        sigma = solve_lyapunov(
+            np.stack([build_drift(m) for m in models]),
+            np.stack([build_diffusion(m) for m in models]),
+        ).sigma
+        e_n = log_negativity(sigma, "cc").e_n
+        assert e_n.min() > 0.5
+        assert np.ptp(e_n) <= 1e-11 * e_n.max()
+
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     def test_negative_discriminant_beyond_band_raises(self, scale):
         """delta = 0 and delta^2 - 4 det = -4 scale^4: far outside the band."""
