@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, default=None, help="sweep spec JSON file")
     p.add_argument("--metric", default="s2_m_db", choices=METRIC_COLUMNS,
                    help="metric to maximize")
-    _add_io_flags(p)
     p.set_defaults(func=cmd_optimum)
 
     p = sub.add_parser("metrics", help="metrics from a stored covariance matrix")

@@ -15,7 +15,7 @@ COMMAND_FLAGS = {
     "evolve": ["--preset", "--config", "--set", "--out", "--t-end", "--eps"],
     "sweep": ["--config", "--out", "--format"],
     "figure": ["--out", "--format"],
-    "optimum": ["--config", "--metric", "--out", "--format"],
+    "optimum": ["--config", "--metric"],
     "metrics": ["--cm", "--out", "--format"],
 }
 
@@ -158,6 +158,13 @@ class TestOptimumCommand:
 
     def test_requires_a_target(self, capsys):
         assert main(["optimum"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--out", "x.json"], ["--format", "json"]])
+    def test_output_flags_are_usage_errors(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["optimum", "fig7a", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_config(self, tmp_path, capsys):
         spec = {
