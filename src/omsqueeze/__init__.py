@@ -75,7 +75,6 @@ from .stability import (
     analyze,
     analyze_stack,
     drift_eigenvalues,
-    quartic_eigenvalues,
     rhsc_check,
     rhsc_coefficients,
 )

@@ -122,40 +122,6 @@ def _sort_complex(values: np.ndarray) -> np.ndarray:
     return np.sort(values, axis=-1, kind="stable")
 
 
-def quartic_eigenvalues(m: ModelParams) -> np.ndarray:
-    """Roots of the stability quartic via its 4x4 companion matrix.
-
-    The companion route avoids the catastrophic cancellation the closed-form
-    resolvent cubic suffers near marginal parameters.  Roots of the real
-    quartic are returned conjugate-paired to machine precision; pairing is
-    verified to 1e-10.
-    """
-    s1, s2, s3, s4 = rhsc_coefficients(m).as_tuple()
-    companion = np.array(
-        [
-            [0.0, 0.0, 0.0, -s4],
-            [1.0, 0.0, 0.0, -s3],
-            [0.0, 1.0, 0.0, -s2],
-            [0.0, 0.0, 1.0, -s1],
-        ]
-    )
-    roots = np.linalg.eigvals(companion)
-    _enforce_conjugate_pairing(roots, tol=1e-10)
-    return _sort_complex(roots)
-
-
-def _enforce_conjugate_pairing(roots: np.ndarray, tol: float) -> None:
-    unmatched = [r for r in roots if r.imag > tol]
-    pool = [r for r in roots if r.imag < -tol]
-    for r in unmatched:
-        best = min(pool, key=lambda q: abs(q - r.conjugate()))
-        if abs(best - r.conjugate()) > tol:
-            raise np.linalg.LinAlgError(
-                "complex roots of a real quartic failed conjugate pairing"
-            )
-        pool.remove(best)
-
-
 def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
     """All 8 eigenvalues of a drift matrix (or of each of a stack), sorted
     by (Re, Im) ascending.

@@ -10,6 +10,7 @@ from omsqueeze import (
     appendix_c_params,
     derive_model,
     log_negativity,
+    rhsc_coefficients,
     symplectic_form,
 )
 from omsqueeze.metrics import PAIR_INDICES
@@ -90,6 +91,37 @@ def match_eigenvalue_sets(a, b, tol):
         b.pop(j)
     assert worst <= tol, f"eigenvalue multisets differ by {worst:.3e} > {tol:.0e}"
     return worst
+
+
+def quartic_eigenvalues(m):
+    """Roots of the stability quartic via its 4x4 companion matrix, sorted by
+    (Re, Im): a third eigenvalue route, kept as an oracle for the sector
+    spectrum.  Complex roots of the real quartic must come in conjugate
+    pairs to 1e-10."""
+    s1, s2, s3, s4 = rhsc_coefficients(m).as_tuple()
+    companion = np.array(
+        [
+            [0.0, 0.0, 0.0, -s4],
+            [1.0, 0.0, 0.0, -s3],
+            [0.0, 1.0, 0.0, -s2],
+            [0.0, 0.0, 1.0, -s1],
+        ]
+    )
+    roots = np.linalg.eigvals(companion)
+    _enforce_conjugate_pairing(roots, tol=1e-10)
+    return np.sort(roots, kind="stable")
+
+
+def _enforce_conjugate_pairing(roots, tol):
+    unmatched = [r for r in roots if r.imag > tol]
+    pool = [r for r in roots if r.imag < -tol]
+    for r in unmatched:
+        best = min(pool, key=lambda q: abs(q - r.conjugate()))
+        if abs(best - r.conjugate()) > tol:
+            raise np.linalg.LinAlgError(
+                "complex roots of a real quartic failed conjugate pairing"
+            )
+        pool.remove(best)
 
 
 def kronecker_lyapunov(w, d):

@@ -28,7 +28,6 @@ from omsqueeze import (
     initial_covariance,
     metric_row,
     paper_base,
-    quartic_eigenvalues,
     rhsc_check,
     run_sweep,
     single_mode_variances,
@@ -36,7 +35,13 @@ from omsqueeze import (
     symplectic_form,
 )
 
-from conftest import PAPER_N_M, match_eigenvalue_sets, model, random_models
+from conftest import (
+    PAPER_N_M,
+    match_eigenvalue_sets,
+    model,
+    quartic_eigenvalues,
+    random_models,
+)
 
 THREE_DB_LINE = 3.0103
 

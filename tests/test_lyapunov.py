@@ -159,7 +159,7 @@ class TestSolveLyapunov:
 
 
 class TestPrecheck:
-    def test_one_eigensolve_and_one_solve_per_call(self, appendix_c_model, monkeypatch):
+    def test_one_eigensolve_per_call(self, appendix_c_model, monkeypatch):
         """One eigensolve of the sectors and one linear solve of the two
         sector systems per call, for one drift and for a stack of them."""
         calls = []

@@ -11,12 +11,11 @@ from omsqueeze import (
     analyze_stack,
     build_drift,
     drift_eigenvalues,
-    quartic_eigenvalues,
     rhsc_check,
     rhsc_coefficients,
 )
 
-from conftest import match_eigenvalue_sets, model, random_models
+from conftest import match_eigenvalue_sets, model, quartic_eigenvalues, random_models
 
 
 def quadratic_roots(b, c):
