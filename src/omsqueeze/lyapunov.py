@@ -1,15 +1,13 @@
 """Steady-state covariance from the continuous-time Lyapunov equation.
 
 Solves W sigma + sigma W^T = -D in the sum/difference quadratures, where
-the drift and the diffusion are both block diagonal, W = W_+ (+) W_- and
-D = D_+ (+) D_- (`matrices.split_sectors`), so the steady state is
-sigma_+ (+) sigma_-.  Each sector solves its own Lyapunov equation
-W_s sigma_s + sigma_s W_s^T = -D_s as a 16x16 dense system, and
-`matrices.join_sectors` rotates the pair back; the rotation has entries
-+-1/2 per block pair, so it adds no rounding beyond its sums.  A W or a D
-that does not split raises ValueError.  Every solve first checks strict
-stability on the spectrum of the two sectors; no caller can skip that
-check.
+the drift and the diffusion are block diagonal, W = W_+ (+) W_- and
+D = D_+ (+) D_- (`matrices.split_sectors`), and so is the steady state:
+each sector solves W_s sigma_s + sigma_s W_s^T = -D_s as a 16x16 dense
+system, and `matrices.join_sectors` rotates sigma_+ (+) sigma_- back, with
+no rounding beyond its sums.  A W or a D that does not split raises
+ValueError.  Every solve first checks strict stability on the spectrum of
+the two sectors; no caller can skip that check.
 
 W and D may be stacks (..., 8, 8): each matrix is solved as it would be
 alone, so a sweep solves many grid points in one call.

@@ -122,8 +122,8 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
         raise PhysicalityError(
             f"partial-transpose discriminant negative beyond tolerance ({np.min(disc):.3e})"
         )
-    # nu~_-^2 = (delta - root)/2 cancels as Lambda -> kappa/2; the product of
-    # the two roots, det, gives it as 2 det / (delta + root) instead
+    # delta + root > 0 for a positive-definite block; an unphysical one keeps
+    # (delta - root)/2 so that the check below still flags it
     root = np.sqrt(np.maximum(disc, 0.0))
     plus = delta + root
     inner = np.divide(2.0 * det_all, plus, out=np.asarray((delta - root) / 2.0), where=plus > 0.0)
