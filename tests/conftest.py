@@ -13,6 +13,7 @@ from omsqueeze import (
     rhsc_coefficients,
     symplectic_form,
 )
+from omsqueeze.matrices import MODE_1, MODE_2
 from omsqueeze.metrics import PAIR_INDICES
 
 settings.register_profile(
@@ -91,6 +92,14 @@ def match_eigenvalue_sets(a, b, tol):
         b.pop(j)
     assert worst <= tol, f"eigenvalue multisets differ by {worst:.3e} > {tol:.0e}"
     return worst
+
+
+def exchange_symmetric(a, b):
+    """The 8x8 matrix with pair blocks [[A, B], [B, A]] over MODE_1, MODE_2."""
+    x = np.zeros((8, 8))
+    x[np.ix_(MODE_1, MODE_1)] = x[np.ix_(MODE_2, MODE_2)] = a
+    x[np.ix_(MODE_1, MODE_2)] = x[np.ix_(MODE_2, MODE_1)] = b
+    return x
 
 
 def quartic_eigenvalues(m):

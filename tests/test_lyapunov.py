@@ -14,6 +14,7 @@ from omsqueeze import (
     figure_preset,
     initial_covariance,
     metric_row,
+    paper_base,
     physicality_check,
     residual,
     solve_lyapunov,
@@ -27,6 +28,7 @@ from conftest import (
     PAPER_GAMMA_K,
     PAPER_N_C,
     PAPER_N_M,
+    exchange_symmetric,
     kronecker_lyapunov,
     model,
     random_models,
@@ -50,14 +52,6 @@ interior_models = st.builds(
     n_c=st.floats(0.0, 1.0),
     n_m=st.floats(0.0, 100.0),
 )
-
-
-def exchange_symmetric(a, b):
-    """The 8x8 matrix with pair blocks [[A, B], [B, A]] over MODE_1, MODE_2."""
-    x = np.zeros((8, 8))
-    x[np.ix_(MODE_1, MODE_1)] = x[np.ix_(MODE_2, MODE_2)] = a
-    x[np.ix_(MODE_1, MODE_2)] = x[np.ix_(MODE_2, MODE_1)] = b
-    return x
 
 
 def exchange_rotation():
@@ -120,6 +114,16 @@ class TestSolveLyapunov:
             build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         )
         np.testing.assert_allclose(solution.sigma, solution.sigma.T, atol=1e-12)
+
+    def test_exact_zeros_are_positive(self, appendix_c_model):
+        """The sign of an exact zero follows the pivots of the solve; sigma
+        carries none of them, so a stored covariance prints 0.0, not -0.0."""
+        models = [appendix_c_model, derive_model(paper_base())]
+        w = np.stack([build_drift(m) for m in models])
+        d = np.stack([build_diffusion(m) for m in models])
+        sigma = solve_lyapunov(w, d).sigma
+        assert np.any(sigma == 0.0)
+        assert not np.any(np.signbit(sigma[sigma == 0.0]))
 
     def test_condition_estimate_sane(self, appendix_c_model):
         solution = solve_lyapunov(

@@ -17,7 +17,7 @@ from omsqueeze import (
 )
 from omsqueeze.matrices import MODE_1, MODE_2, join_sectors, split_sectors
 
-from conftest import PAPER_GAMMA_K, PAPER_N_M, model
+from conftest import PAPER_GAMMA_K, PAPER_N_M, exchange_symmetric, model
 
 # Positions allowed to be nonzero in the drift matrix, besides the diagonal.
 OFF_DIAGONAL_PATTERN = {
@@ -158,11 +158,8 @@ class TestSplitSectors:
     def test_join_inverts_split_exactly(self):
         """Exact wherever A +- B and their halves round to nothing: here on
         small integers (one matrix or a stack) and on a diffusion (B = 0)."""
-        pair = np.random.default_rng(11).integers(-8, 9, (5, 2, 4, 4)).astype(float)
-        integers = np.zeros((5, 8, 8))
-        for rows, cols, block in ((MODE_1, MODE_1, 0), (MODE_2, MODE_2, 0),
-                                  (MODE_1, MODE_2, 1), (MODE_2, MODE_1, 1)):
-            integers[:, rows[:, None], cols] = pair[:, block]
+        pairs = np.random.default_rng(11).integers(-8, 9, (5, 2, 4, 4)).astype(float)
+        integers = np.stack([exchange_symmetric(a, b) for a, b in pairs])
         for x in (integers, integers[0], build_diffusion(model(n_c=0.3, n_m=20.0))):
             sectors = split_sectors(x)
             assert np.array_equal(join_sectors(sectors), x)
