@@ -4,10 +4,17 @@ Integrates sigma' = W sigma + sigma W^T + D with an adaptive embedded
 Dormand-Prince 5(4) pair, records the covariance trace at every accepted
 step, and detects relaxation to the steady state.  All times are in units
 of 1/kappa.
+
+The stepper holds the state as the flat vector y = sigma.ravel() and
+builds the operator L = W (x) I + I (x) W once per run, so each stage is
+one tableau-row product over the stored stages and one L @ y + vec D.
+The integration never consults the Lyapunov solution: it is the
+independent check of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,23 +27,31 @@ MIN_STEP = 1e-14
 DIVERGENCE_NORM = 1e150
 
 # Dormand-Prince 5(4) tableau (autonomous right-hand side, so no stage
-# times needed); the error row is b5 - b4.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_ERR = (
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+# times needed).  Row i of _A weighs the stages k_0..k_6 for stage i + 1;
+# the last row is b5, so the last stage argument is the 5th-order solution
+# and k_6 enters only the error row _E = b5 - b4.
+_A = np.array([
+    (1 / 5, 0, 0, 0, 0, 0, 0),
+    (3 / 40, 9 / 40, 0, 0, 0, 0, 0),
+    (44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0),
+])
+_E = np.array(
+    (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 )
 
 
 def cm_derivative(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Right-hand side W sigma + sigma W^T + D of the covariance ODE."""
     return w @ sigma + sigma @ w.T + d
+
+
+def _vec_operator(w: np.ndarray) -> np.ndarray:
+    """L = W (x) I + I (x) W: L @ sigma.ravel() = (W sigma + sigma W^T).ravel()."""
+    eye = np.eye(w.shape[0])
+    return np.kron(w, eye) + np.kron(eye, w)
 
 
 @dataclass
@@ -52,7 +67,8 @@ class Trajectory:
     def resample_log(
         self, count: int = 400, t_min: float = 1e-2
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-step samples on a log-spaced time grid (plot-friendly)."""
+        """Samples on a log-spaced time grid (plot-friendly): the first
+        accepted step at or after each grid time, duplicates dropped."""
         t_last = self.times[-1]
         if t_last <= t_min:
             return self.times, self.traces
@@ -82,6 +98,13 @@ class Trajectory:
         ]
 
 
+def _require_positive(**values: float) -> None:
+    """Reject a non-finite or non-positive argument before any stepping."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _accepted_steps(
     w: np.ndarray,
     d: np.ndarray,
@@ -93,20 +116,31 @@ def _accepted_steps(
     """Yield (t, sigma, ||sigma'||_F) for t=0 and every accepted step.
 
     `targets` must be sorted ascending; the stepper lands on each exactly.
-    Iteration ends after the last target is reached.
+    Iteration ends after the last target is reached.  The state is the flat
+    vector y = sigma.ravel(); each yielded sigma is a view of a vector that
+    is never written again.
     """
-    y = (sigma0 + sigma0.T) / 2.0
+    dot = np.dot  # for a matrix times a vector: a third of matmul's call overhead
+    n = w.shape[0]
+    op = _vec_operator(w)
+    d_vec = d.ravel()
+    swap = np.arange(n * n).reshape(n, n).T.ravel()  # y[swap] = sigma.T.ravel()
+    y = ((sigma0 + sigma0.T) / 2.0).ravel()
     t = 0.0
-    f_cur = cm_derivative(w, d, y)
-    yield t, y, float(np.linalg.norm(f_cur))
+    f_cur = dot(op, y) + d_vec
+    f_norm = math.sqrt(f_cur @ f_cur)
+    yield t, y.reshape(n, n), f_norm
 
     pending = [x for x in targets if x > 0.0]
     if not pending:
         return
-    h = 0.01 * (np.linalg.norm(y) + abs_tol) / (np.linalg.norm(f_cur) + 1e-300)
+    h = 0.01 * (math.sqrt(y @ y) + abs_tol) / (f_norm + 1e-300)
     h = min(max(h, MIN_STEP * 10), pending[-1] / 10, 1.0)
 
-    k = [None] * 7
+    # Stage i + 1 weighs rows i + 1.. of k by zero, so those stale rows must
+    # stay finite (0 * inf is nan): a non-finite k_1..k_5 makes y_new
+    # non-finite, which raises, and a non-finite k_6 is cleared below.
+    k = np.zeros((7, n * n))
     rejected = False
     while pending:
         target = pending[0]
@@ -118,29 +152,30 @@ def _accepted_steps(
             )
 
         k[0] = f_cur
-        for i, row in enumerate(_DP_A):
-            yi = y + h_try * sum(c * k[j] for j, c in enumerate(row) if c != 0.0)
-            k[i + 1] = cm_derivative(w, d, yi)
-        y_new = yi  # last stage argument is the 5th-order solution
-        err_mat = h_try * sum(c * k[j] for j, c in enumerate(_DP_ERR) if c != 0.0)
+        for i, row in enumerate(h_try * _A):
+            y_new = y + dot(row, k)
+            k[i + 1] = dot(op, y_new) + d_vec
+        # y_new is now the last stage argument, the 5th-order solution.
 
-        if not np.isfinite(y_new).all() or np.linalg.norm(y_new) > DIVERGENCE_NORM:
+        if not y_new @ y_new <= DIVERGENCE_NORM**2:  # also catches inf and nan
             raise DivergenceError(
                 f"covariance diverged at t={t:.6g} (unstable drift integrated too long)"
             )
 
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_mat / scale) ** 2)))
-        if not np.isfinite(err):
+        ratio = dot(h_try * _E, k) / scale
+        err = math.sqrt(ratio @ ratio / ratio.size)
+        if not math.isfinite(err):
+            k[6] = 0.0
             h = h_try * 0.2
             rejected = True
             continue
 
         if err <= 1.0:
             t = target if (target - t - h_try) < 1e-12 * max(1.0, target) else t + h_try
-            y = (y_new + y_new.T) / 2.0
-            f_cur = cm_derivative(w, d, y)
-            yield t, y, float(np.linalg.norm(f_cur))
+            y = (y_new + y_new[swap]) / 2.0
+            f_cur = dot(op, y) + d_vec
+            yield t, y.reshape(n, n), math.sqrt(f_cur @ f_cur)
             while pending and t >= pending[0] - 1e-12 * max(1.0, pending[0]):
                 pending.pop(0)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -164,10 +199,7 @@ def integrate(
     snapshot_times: list[float] | None = None,
 ) -> Trajectory:
     """Integrate the covariance ODE to t_end, recording Tr sigma per step."""
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be > 0")
+    _require_positive(t_end=t_end, rel_tol=rel_tol, abs_tol=abs_tol)
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
     sigma0 = np.asarray(sigma0, dtype=float)
@@ -210,8 +242,11 @@ def evolve_to_steady(
     drifts are not rejected up front: integration then grows exponentially
     and raises DivergenceError, which is itself the verdict.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    _require_positive(eps=eps, rel_tol=rel_tol, abs_tol=abs_tol)
+    if window is not None:
+        _require_positive(window=window)
+    if max_time is not None:
+        _require_positive(max_time=max_time)
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
     sigma0 = np.asarray(sigma0, dtype=float)
@@ -220,8 +255,6 @@ def evolve_to_steady(
     rate = max(abs(abscissa), 1e-12)
     if window is None:
         window = 10.0 / rate
-    elif window <= 0:
-        raise ValueError("window must be > 0")
     if max_time is None:
         max_time = 1e4 / rate
 
@@ -234,7 +267,7 @@ def evolve_to_steady(
 
     # Chunked targets keep steps aligned with the window bookkeeping.
     chunk = window / 4.0
-    targets = list(np.arange(chunk, max_time + chunk / 2, chunk))
+    targets = np.arange(chunk, max_time + chunk / 2, chunk).tolist()
     for t, sigma, deriv_norm in _accepted_steps(w, d, sigma0, rel_tol, abs_tol, targets):
         times.append(t)
         traces.append(float(np.trace(sigma)))

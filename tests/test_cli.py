@@ -114,6 +114,20 @@ class TestEvolveCommand:
                    "--set", "lambda_over_kappa=0"])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "nan"), ("--t-end", "inf"), ("--eps", "nan"), ("--eps", "inf"),
+    ])
+    def test_non_finite_horizon_or_threshold_rejected_before_stepping(
+        self, monkeypatch, capsys, flag, value
+    ):
+        def never_step(*args, **kwargs):
+            raise AssertionError("the integrator ran")
+
+        monkeypatch.setattr("omsqueeze.dynamics._accepted_steps", never_step)
+        assert main(["evolve", "--preset", "appendixC", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+
     def test_format_is_not_an_option(self, tmp_path, capsys):
         """The trajectory is always CSV, so evolve takes no --format."""
         out = tmp_path / "x.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from omsqueeze import (
     ConvergenceError,
@@ -16,6 +17,8 @@ from omsqueeze import (
     integrate,
     solve_lyapunov,
 )
+
+from omsqueeze.dynamics import _vec_operator
 
 from conftest import PAPER_N_C, PAPER_N_M, model, random_models
 
@@ -45,6 +48,21 @@ class TestCmDerivative:
         s = s + s.T
         deriv = cm_derivative(w, d, s)
         np.testing.assert_allclose(deriv, deriv.T, atol=1e-14)
+
+
+class TestVecOperator:
+    """The stepper's flat right-hand side against the matrix form."""
+
+    def test_matches_cm_derivative(self):
+        rng = np.random.default_rng(11)
+        for m in random_models(8, seed=20251018):
+            w, d = build_drift(m), build_diffusion(m)
+            s = rng.normal(size=(8, 8))
+            for sigma in (s + s.T, s, initial_covariance(m)):
+                flat = _vec_operator(w) @ sigma.ravel() + d.ravel()
+                expected = cm_derivative(w, d, sigma).ravel()
+                scale = np.linalg.norm(w) * np.linalg.norm(sigma) + np.linalg.norm(d)
+                assert np.max(np.abs(flat - expected)) <= 1e-14 * scale
 
 
 class TestIntegrate:
@@ -122,12 +140,33 @@ class TestIntegrate:
         with pytest.raises(StiffnessError):
             integrate(w, d, np.eye(8) * 3.0, t_end=10.0, rel_tol=1e-13, abs_tol=1e-16)
 
+    def test_trace_matches_exact_solution_at_every_step(self, appendix_c_model):
+        # sigma(t) = e^{Wt} (sigma0 - sigma_inf) e^{W^T t} + sigma_inf
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        sigma0 = initial_covariance(appendix_c_model)
+        sigma_inf = solve_continuous_lyapunov(w, -d)
+        trajectory = integrate(w, d, sigma0, t_end=30.0)
+        assert len(trajectory.times) > 10
+        for t, trace in zip(trajectory.times, trajectory.traces):
+            prop = expm(w * t)
+            exact = np.trace(prop @ (sigma0 - sigma_inf) @ prop.T + sigma_inf)
+            assert trace == pytest.approx(exact, rel=1e-7)
+
     def test_rejects_bad_arguments(self):
         w = np.zeros((8, 8))
         with pytest.raises(ValueError):
             integrate(w, np.eye(8), np.eye(8), t_end=-1.0)
         with pytest.raises(ValueError):
             integrate(w, np.eye(8), np.eye(8), t_end=1.0, rel_tol=0.0)
+        for bad in (math.nan, math.inf):
+            for kwargs in ({"t_end": bad}, {"t_end": 1.0, "rel_tol": bad},
+                           {"t_end": 1.0, "abs_tol": bad}):
+                with pytest.raises(ValueError, match="finite"):
+                    integrate(w, np.eye(8), np.eye(8), **kwargs)
+            for kwargs in ({"eps": bad}, {"window": bad}, {"max_time": bad},
+                           {"rel_tol": bad}, {"abs_tol": bad}):
+                with pytest.raises(ValueError, match="finite"):
+                    evolve_to_steady(w, np.eye(8), np.eye(8), **kwargs)
 
 
 class TestEvolveToSteady:
@@ -147,6 +186,12 @@ class TestEvolveToSteady:
         oracle = solve_lyapunov(w, d).sigma
         assert trajectory.converged and trajectory.t_converged is not None
         np.testing.assert_allclose(sigma, oracle, rtol=0, atol=1e-6)
+
+    def test_fig9_accepted_step_count(self, appendix_c_model):
+        """A changed step controller or error norm shows here, not only as speed."""
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        _, trajectory = evolve_to_steady(w, d, initial_covariance(appendix_c_model))
+        assert 877 * 0.98 <= len(trajectory.times) <= 877 * 1.02
 
     def test_trace_decay_respects_slowest_mode_envelope(self, appendix_c_model):
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
