@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from omsqueeze import (
     DirectCouplings,
     EmptySweepError,
+    GridPoint,
     PowerDrive,
     SweepAxis,
+    SweepResult,
     SweepSpec,
     TracePreset,
     appendix_c_params,
@@ -399,6 +401,17 @@ class TestFindOptimum:
         axes, value = find_optimum(result, "s2_m_db")
         assert axes["phi_over_pi"] == -0.5  # no pump: phase changes nothing
         assert value == pytest.approx(result.grid[0].metrics["s2_m_db"])
+
+    def test_values_a_few_ulp_apart_tie_to_first_point(self):
+        spec = direct_spec(axes=(SweepAxis.explicit("phi_over_pi", (-0.5, 0.0, 0.5)),))
+        value = 0.6922790914
+        values = (value, math.nextafter(math.nextafter(value, 1.0), 1.0), value - 1.0)
+        grid = tuple(
+            GridPoint(axes={"phi_over_pi": phi}, stable=True, metrics={"en_cc": v})
+            for phi, v in zip((-0.5, 0.0, 0.5), values)
+        )
+        axes, best = find_optimum(SweepResult(spec=spec, grid=grid), "en_cc")
+        assert axes == {"phi_over_pi": -0.5} and best == value
 
     def test_all_unstable_raises(self):
         spec = direct_spec(
