@@ -44,7 +44,11 @@ _E = np.array(
 
 
 def cm_derivative(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Right-hand side W sigma + sigma W^T + D of the covariance ODE."""
+    """Right-hand side W sigma + sigma W^T + D of the covariance ODE.
+
+    Matrix form; the stepper applies the same map to sigma.ravel() through
+    `_vec_operator`.
+    """
     return w @ sigma + sigma @ w.T + d
 
 

@@ -17,7 +17,6 @@ from omsqueeze import (
     integrate,
     solve_lyapunov,
 )
-
 from omsqueeze.dynamics import _vec_operator
 
 from conftest import PAPER_N_C, PAPER_N_M, model, random_models
