@@ -233,13 +233,17 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def _print_optimum(metric: str, axes: dict[str, float], value: float) -> None:
+    at = "  ".join(f"{k} = {_fmt(v)}" for k, v in axes.items())
+    print(f"optimum[{metric}] = {_fmt(value)} at {at}")
+
+
 def _print_optima(result) -> None:
     for metric, opt in result.optimum.items():
         if opt is None:
             print(f"optimum[{metric}]: no stable grid point")
-            continue
-        at = "  ".join(f"{k} = {_fmt(v)}" for k, v in opt["axes"].items())
-        print(f"optimum[{metric}] = {_fmt(opt['value'])} at {at}")
+        else:
+            _print_optimum(metric, opt["axes"], opt["value"])
 
 
 def _report_sweep(result, heading: str, out: Path, fmt: str) -> int:
@@ -258,11 +262,15 @@ def _report_sweep(result, heading: str, out: Path, fmt: str) -> int:
     return 0
 
 
+def _load_spec(path: Path) -> SweepSpec:
+    with open(path, encoding="utf-8") as fh:
+        return SweepSpec.from_json(json.load(fh))
+
+
 def cmd_sweep(args) -> int:
     if args.config is None:
         raise ValueError("sweep requires --config with a sweep specification")
-    with open(args.config, encoding="utf-8") as fh:
-        spec = SweepSpec.from_json(json.load(fh))
+    spec = _load_spec(args.config)
     result = run_sweep(spec)
     out = args.out if args.out is not None else Path(f"{spec.name}.csv")
     return _report_sweep(result, f"swept {len(result.grid)} points", out, args.format)
@@ -286,8 +294,7 @@ def cmd_figure(args) -> int:
 
 def cmd_optimum(args) -> int:
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            spec = SweepSpec.from_json(json.load(fh))
+        spec = _load_spec(args.config)
     elif args.name is not None:
         preset = figure_preset(args.name)
         if isinstance(preset, TracePreset):
@@ -296,9 +303,7 @@ def cmd_optimum(args) -> int:
     else:
         raise ValueError("optimum requires a figure preset name or --config")
     result = run_sweep(spec)
-    axes, value = find_optimum(result, args.metric)
-    at = "  ".join(f"{k} = {_fmt(v)}" for k, v in axes.items())
-    print(f"optimum[{args.metric}] = {_fmt(value)} at {at}")
+    _print_optimum(args.metric, *find_optimum(result, args.metric))
     return 0
 
 

@@ -21,7 +21,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, StiffnessError
-from .matrices import covariance_to_json
 
 MIN_STEP = 1e-14
 DIVERGENCE_NORM = 1e150
@@ -81,25 +80,12 @@ class Trajectory:
         idx = np.unique(np.clip(idx, 0, len(self.times) - 1))
         return self.times[idx], self.traces[idx]
 
-    def to_csv(
-        self, path, *, count: int = 400, t_min: float = 1e-2, full: bool = False
-    ) -> None:
-        if full:
-            times, traces = self.times, self.traces
-        else:
-            times, traces = self.resample_log(count=count, t_min=t_min)
+    def to_csv(self, path) -> None:
+        times, traces = self.resample_log()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t_over_kappa,trace\n")
             for t, tr in zip(times, traces):
                 fh.write(f"{t:.12g},{tr:.12g}\n")
-
-    def snapshots_to_json(self) -> list[dict]:
-        if not self.snapshots:
-            return []
-        return [
-            {"t_over_kappa": float(t), "covariance": covariance_to_json(sigma)}
-            for t, sigma in self.snapshots
-        ]
 
 
 def _require_positive(**values: float) -> None:

@@ -7,7 +7,8 @@ each sector solves W_s sigma_s + sigma_s W_s^T = -D_s as a 16x16 dense
 system, and `matrices.join_sectors` rotates sigma_+ (+) sigma_- back, with
 no rounding beyond its sums.  A W or a D that does not split raises
 ValueError.  Every solve first checks strict stability on the spectrum of
-the two sectors; no caller can skip that check.
+the two sectors, by the rule `stability.spectral_verdict` owns; no caller
+can skip that check.
 
 W and D may be stacks (..., 8, 8): each matrix is solved as it would be
 alone, so a sweep solves many grid points in one call.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ThresholdError, UnstableSystemError
 from .matrices import join_sectors, split_sectors
-from .stability import MARGINAL_BAND
+from .stability import MARGINAL_BAND, spectral_verdict
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,11 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
 
     The stability precheck is mandatory and cannot be skipped: a sector
     system is exactly singular whenever two drift eigenvalues sum to zero,
-    and a clean rejection beats a garbage solve.  One eigensolve per call,
-    over the (..., 2, 4, 4) stack of sectors, serves both the precheck and
-    the condition estimate.  A drift or a diffusion that does not split
+    and a clean rejection beats a garbage solve.  The precheck accepts a
+    drift, and words its rejection, by `stability.spectral_verdict` of the
+    largest real part over the whole stack.  One eigensolve per call, over
+    the (..., 2, 4, 4) stack of sectors, serves both the precheck and the
+    condition estimate.  A drift or a diffusion that does not split
     raises ValueError.
     """
     w = np.asarray(w, dtype=float)
@@ -70,8 +73,8 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
 
     eigenvalues = np.linalg.eigvals(sectors).reshape(*batch, 8)
     spectral_abscissa = float(np.max(eigenvalues.real))
-    if spectral_abscissa >= -MARGINAL_BAND:
-        kind = "marginal" if abs(spectral_abscissa) < MARGINAL_BAND else "unstable"
+    kind = spectral_verdict(spectral_abscissa)
+    if kind != "stable":
         raise UnstableSystemError(
             f"drift is {kind}: spectral abscissa {spectral_abscissa:.3e} fails the "
             f"strict-stability precheck (required < -{MARGINAL_BAND:.0e})"

@@ -128,7 +128,7 @@ def require_symmetric(sigma: np.ndarray, tol: float = 1e-9) -> None:
     sigma = np.asarray(sigma)
     if sigma.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 covariance matrix, got {sigma.shape}")
-    if np.any(np.linalg.norm(sigma - sigma.swapaxes(-1, -2), axis=(-2, -1)) > tol):
+    if not np.all(np.linalg.norm(sigma - sigma.swapaxes(-1, -2), axis=(-2, -1)) <= tol):
         raise ValueError(f"covariance matrix asymmetric beyond {tol}")
 
 
@@ -144,4 +144,6 @@ def covariance_from_json(obj: dict) -> np.ndarray:
     flat = np.asarray(obj["sigma"], dtype=float)
     if flat.shape != (64,):
         raise ValueError("covariance payload must hold exactly 64 numbers")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("covariance entries must be finite")
     return flat.reshape(8, 8)

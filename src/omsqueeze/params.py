@@ -9,7 +9,7 @@ two-tone coupling rates, and bath temperatures into mean occupations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ThresholdError
 
@@ -97,48 +97,29 @@ class PhysicalParams:
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
     def to_json(self) -> dict:
-        drive: dict[str, float]
-        if isinstance(self.drive, PowerDrive):
-            drive = {"P_minus": self.drive.P_minus, "P_plus": self.drive.P_plus}
-        else:
-            drive = {"G_minus": self.drive.G_minus, "G_plus": self.drive.G_plus}
-        return {
-            "omega_m": self.omega_m,
-            "omega_c": self.omega_c,
-            "kappa": self.kappa,
-            "gamma": self.gamma,
-            "g": self.g,
-            "lambda_pa": self.lambda_pa,
-            "phi": self.phi,
-            "temperature": self.temperature,
-            "drive": drive,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "PhysicalParams":
-        fields = dict(obj)
-        if "drive" in fields:
-            drive = fields.pop("drive")
-        elif "drive_spec" in fields:  # accepted alias
-            drive = fields.pop("drive_spec")
+        values = dict(obj)
+        if "drive" in values:
+            drive = values.pop("drive")
+        elif "drive_spec" in values:  # accepted alias
+            drive = values.pop("drive_spec")
         else:
             raise ValueError("missing drive specification")
-        if set(drive) == {"P_minus", "P_plus"}:
-            parsed: PowerDrive | DirectCouplings = PowerDrive(**drive)
-        elif set(drive) == {"G_minus", "G_plus"}:
-            parsed = DirectCouplings(**drive)
-        else:
+        kinds = {frozenset(f.name for f in fields(kind)): kind
+                 for kind in (PowerDrive, DirectCouplings)}
+        kind = kinds.get(frozenset(drive))
+        if kind is None:
             raise ValueError(
-                "drive must carry either {P_minus, P_plus} or {G_minus, G_plus}"
+                "drive must carry either "
+                + " or ".join("{" + ", ".join(sorted(names)) + "}" for names in kinds)
             )
-        known = {
-            "omega_m", "omega_c", "kappa", "gamma", "g",
-            "lambda_pa", "phi", "temperature",
-        }
-        unknown = set(fields) - known
+        unknown = set(values) - {f.name for f in fields(PhysicalParams)}
         if unknown:
             raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        return PhysicalParams(drive=parsed, **fields)
+        return PhysicalParams(drive=kind(**drive), **values)
 
 
 @dataclass(frozen=True)

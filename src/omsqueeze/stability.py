@@ -23,6 +23,18 @@ from .params import ModelParams
 MARGINAL_BAND = 1e-9
 
 
+def spectral_verdict(abscissa: float) -> str:
+    """'stable', 'marginal' or 'unstable' for a spectral abscissa.
+
+    |abscissa| <= MARGINAL_BAND is marginal, so strict stability needs
+    abscissa < -MARGINAL_BAND; NaN is unstable.  The sweep gate
+    (`analyze_stack`) and the Lyapunov precheck both read this rule.
+    """
+    if abs(abscissa) <= MARGINAL_BAND:
+        return "marginal"
+    return "stable" if abscissa < 0.0 else "unstable"
+
+
 @dataclass(frozen=True)
 class RhscCoefficients:
     """Quartic coefficients s_r, in powers of kappa (s1: kappa .. s4: kappa^4)."""
@@ -117,11 +129,6 @@ def _hurwitz(c: RhscCoefficients) -> tuple[float, float, float, bool]:
     return h1, h2, h3, verdict
 
 
-def _sort_complex(values: np.ndarray) -> np.ndarray:
-    """Sort along the last axis by (Re, Im) ascending (numpy's complex order)."""
-    return np.sort(values, axis=-1, kind="stable")
-
-
 def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
     """All 8 eigenvalues of a drift matrix (or of each of a stack), sorted
     by (Re, Im) ascending.
@@ -130,19 +137,15 @@ def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
     does not split raises ValueError.
     """
     values = np.linalg.eigvals(split_sectors(w))
-    return _sort_complex(values.reshape(*values.shape[:-2], 8))
+    return np.sort(values.reshape(*values.shape[:-2], 8), axis=-1, kind="stable")
 
 
-def analyze_stack(
-    models: list[ModelParams], w: np.ndarray | None = None
-) -> list[StabilityReport]:
+def analyze_stack(models: list[ModelParams], w: np.ndarray) -> list[StabilityReport]:
     """`analyze` for many models with one eigensolve of all their sectors.
 
-    `w`, if given, is the stack of their drifts (len(models), 8, 8), so a
-    caller that needs the drifts anyway builds them once.
+    `w` is the stack of their drifts (len(models), 8, 8), so a caller that
+    needs the drifts anyway builds them once.
     """
-    if w is None:
-        w = np.stack([build_drift(m) for m in models])
     spectra = drift_eigenvalues(w)
     abscissae = spectra.real.max(axis=-1).tolist()
     reports = []
@@ -150,7 +153,7 @@ def analyze_stack(
         coeffs = rhsc_coefficients(m)
         h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
         eig_stable = abscissa < 0.0
-        marginal = abs(abscissa) < MARGINAL_BAND
+        marginal = spectral_verdict(abscissa) == "marginal"
         reports.append(StabilityReport(
             coefficients=coeffs,
             h1=h1,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,10 +62,10 @@ _NORMALIZED_ORDER = (
     "g_plus_over_g_minus",
 )
 
-_SCALAR_FIELDS = (
-    "omega_m", "omega_c", "kappa", "gamma", "g", "lambda_pa", "phi", "temperature",
-)
-_RAW_FIELDS = _SCALAR_FIELDS + ("P_minus", "P_plus", "G_minus", "G_plus")
+_SCALAR_FIELDS = tuple(f.name for f in fields(PhysicalParams) if f.name != "drive")
+_POWER_FIELDS = tuple(f.name for f in fields(PowerDrive))
+_COUPLING_FIELDS = tuple(f.name for f in fields(DirectCouplings))
+_RAW_FIELDS = _SCALAR_FIELDS + _POWER_FIELDS + _COUPLING_FIELDS
 
 OVERRIDE_KEYS = _RAW_FIELDS + AXIS_NAMES
 
@@ -86,9 +86,9 @@ def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> Phys
         )
     p = params
 
-    fields = {n: float(overrides[n]) for n in _SCALAR_FIELDS if n in overrides}
-    powers = {n: float(overrides[n]) for n in ("P_minus", "P_plus") if n in overrides}
-    couplings = {n: float(overrides[n]) for n in ("G_minus", "G_plus") if n in overrides}
+    scalars = {n: float(overrides[n]) for n in _SCALAR_FIELDS if n in overrides}
+    powers = {n: float(overrides[n]) for n in _POWER_FIELDS if n in overrides}
+    couplings = {n: float(overrides[n]) for n in _COUPLING_FIELDS if n in overrides}
     drive = p.drive
     if powers:
         if not isinstance(drive, PowerDrive):
@@ -96,23 +96,23 @@ def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> Phys
         drive = replace(drive, **powers)
     if couplings:
         if not isinstance(drive, DirectCouplings):
-            drive = as_direct_drive(replace(p, drive=drive, **fields)).drive
+            drive = as_direct_drive(replace(p, drive=drive, **scalars)).drive
         drive = replace(drive, **couplings)
-    if fields or drive is not p.drive:
-        p = replace(p, drive=drive, **fields)
+    if scalars or drive is not p.drive:
+        p = replace(p, drive=drive, **scalars)
 
     ratio = {n: float(overrides[n]) for n in _NORMALIZED_ORDER if n in overrides}
     if not ratio:
         return p
-    fields = {}
+    scalars = {}
     if "temperature_mk" in ratio:
-        fields["temperature"] = ratio["temperature_mk"] * 1e-3
+        scalars["temperature"] = ratio["temperature_mk"] * 1e-3
     if "gamma_over_kappa" in ratio:
-        fields["gamma"] = ratio["gamma_over_kappa"] * p.kappa
+        scalars["gamma"] = ratio["gamma_over_kappa"] * p.kappa
     if "lambda_over_kappa" in ratio:
-        fields["lambda_pa"] = ratio["lambda_over_kappa"] * p.kappa
+        scalars["lambda_pa"] = ratio["lambda_over_kappa"] * p.kappa
     if "phi_over_pi" in ratio:
-        fields["phi"] = ratio["phi_over_pi"] * math.pi
+        scalars["phi"] = ratio["phi_over_pi"] * math.pi
     drive = p.drive
     if "p_plus_over_p_minus" in ratio:
         if not isinstance(drive, PowerDrive):
@@ -120,14 +120,14 @@ def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> Phys
         drive = replace(drive, P_plus=ratio["p_plus_over_p_minus"] * drive.P_minus)
     if "g_minus_over_kappa" in ratio or "g_plus_over_g_minus" in ratio:
         if not isinstance(drive, DirectCouplings):
-            drive = as_direct_drive(replace(p, drive=drive, **fields)).drive
+            drive = as_direct_drive(replace(p, drive=drive, **scalars)).drive
         g_minus, g_plus = drive.G_minus, drive.G_plus
         if "g_minus_over_kappa" in ratio:
             g_minus = ratio["g_minus_over_kappa"] * p.kappa
         if "g_plus_over_g_minus" in ratio:
             g_plus = ratio["g_plus_over_g_minus"] * g_minus
         drive = DirectCouplings(G_minus=g_minus, G_plus=g_plus)
-    return replace(p, drive=drive, **fields)
+    return replace(p, drive=drive, **scalars)
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,19 @@ class SweepAxis:
 
     @staticmethod
     def from_json(obj: dict) -> "SweepAxis":
-        if "values" in obj:
+        """An axis is exactly {name, values} or {name, min, max, count},
+        with a whole-number count."""
+        if set(obj) == {"name", "values"}:
             return SweepAxis.explicit(obj["name"], obj["values"])
-        return SweepAxis.linear(obj["name"], obj["min"], obj["max"], int(obj["count"]))
+        if set(obj) != {"name", "min", "max", "count"}:
+            raise ValueError(
+                "an axis takes exactly {name, values} or {name, min, max, count}, "
+                f"got {sorted(obj)}"
+            )
+        count = obj["count"]
+        if type(count) not in (int, float) or count % 1 != 0:  # bool, 2.7, inf, NaN
+            raise ValueError(f"axis count must be a whole number, got {count!r}")
+        return SweepAxis.linear(obj["name"], obj["min"], obj["max"], int(count))
 
 
 @dataclass(frozen=True)
@@ -215,14 +225,17 @@ class SweepSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "SweepSpec":
-        return SweepSpec(
+        unknown = set(obj) - {f.name for f in fields(SweepSpec)}
+        if unknown:
+            raise ValueError(f"unknown sweep spec fields: {sorted(unknown)}")
+        values = dict(
+            obj,
             base=PhysicalParams.from_json(obj["base"]),
             axes=tuple(SweepAxis.from_json(ax) for ax in obj["axes"]),
-            coupling_mode=obj.get("coupling_mode", "direct"),
-            outputs=tuple(obj.get("outputs", METRIC_COLUMNS)),
-            unstable_policy=obj.get("unstable_policy", "mark"),
-            name=obj.get("name", "sweep"),
         )
+        if "outputs" in values:
+            values["outputs"] = tuple(values["outputs"])
+        return SweepSpec(**values)
 
 
 @dataclass(frozen=True)

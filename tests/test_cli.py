@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,19 @@ class TestMetricsRoundTrip:
                      "--out", str(metrics_out)]) == 0
         recomputed = json.loads(metrics_out.read_text())["metrics"]
         assert recomputed == payload["metrics"]
+
+    @pytest.mark.parametrize("entries, bad", [((0,), math.inf), ((0,), math.nan),
+                                              ((1, 8), math.inf)])
+    def test_non_finite_covariance_rejected(self, tmp_path, capsys, entries, bad):
+        payload = covariance_to_json(0.5 * np.eye(8))
+        for i in entries:
+            payload["sigma"][i] = bad
+        cm = tmp_path / "bad.json"
+        cm.write_text(json.dumps(payload))  # writes the bare token Infinity or NaN
+        assert main(["metrics", "--cm", str(cm)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: covariance entries must be finite\n"
 
     def test_bare_covariance_payload(self, tmp_path, capsys):
         cm = tmp_path / "vacuum.json"
@@ -314,6 +328,29 @@ class TestUsageErrors:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    @pytest.mark.parametrize("change, message", [
+        ({"bogus": 1}, "unknown sweep spec fields: ['bogus']"),
+        ({"axes": [{"name": "lambda_over_kappa", "min": 0.0, "max": 0.4, "count": 2.7}]},
+         "axis count must be a whole number, got 2.7"),
+        ({"axes": [{"name": "lambda_over_kappa", "values": [0.0, 0.4], "min": 0.0,
+                    "max": 0.4}]},
+         "an axis takes exactly {name, values} or {name, min, max, count}"),
+    ])
+    def test_malformed_sweep_spec(self, tmp_path, capsys, command, change, message):
+        spec = {
+            "base": paper_base().to_json(),
+            "axes": [{"name": "lambda_over_kappa", "min": 0.0, "max": 0.4, "count": 3}],
+            "coupling_mode": "powers",
+        }
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({**spec, **change}))
+        assert main([command, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["sweep", "--config", "spec.json"],
                                          ["figure", "fig3a"], ["optimum", "fig3a"]])

@@ -22,6 +22,7 @@ from omsqueeze import (
 
 from omsqueeze.lyapunov import _sector_operator
 from omsqueeze.matrices import MODE_1, MODE_2, split_sectors
+from omsqueeze.stability import MARGINAL_BAND, analyze_stack
 
 from conftest import (
     ORACLE_FACTOR,
@@ -197,6 +198,19 @@ class TestPrecheck:
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         with pytest.raises(ValueError, match="congruent"):
             solve_lyapunov(np.stack([w, w]), d)
+
+    @pytest.mark.parametrize("a", [2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0])
+    def test_agrees_with_the_sweep_gate_across_the_band(self, appendix_c_model, a):
+        """For the drift -a*I the sweep gate's spectral verdict and the
+        precheck agree; the band edge |abscissa| = MARGINAL_BAND is marginal."""
+        w = -a * MARGINAL_BAND * np.eye(8)
+        report = analyze_stack([appendix_c_model], w[None])[0]
+        try:
+            solve_lyapunov(w, np.eye(8))
+            accepted = True
+        except UnstableSystemError:
+            accepted = False
+        assert accepted == (report.eig_stable and not report.marginal) == (a > 1.0)
 
 
 class TestSectorSolve:

@@ -15,7 +15,13 @@ from omsqueeze import (
     initial_covariance,
     symplectic_form,
 )
-from omsqueeze.matrices import MODE_1, MODE_2, join_sectors, split_sectors
+from omsqueeze.matrices import (
+    MODE_1,
+    MODE_2,
+    join_sectors,
+    require_symmetric,
+    split_sectors,
+)
 
 from conftest import PAPER_GAMMA_K, PAPER_N_M, exchange_symmetric, model
 
@@ -244,3 +250,12 @@ class TestCovarianceSerialization:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             covariance_from_json({"basis": list(QUADRATURES), "sigma": [1.0] * 63})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        obj = covariance_to_json(np.eye(8))
+        obj["sigma"][1] = obj["sigma"][8] = bad
+        with pytest.raises(ValueError, match="finite"):
+            covariance_from_json(obj)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="asymmetric"):
+            require_symmetric(np.reshape(obj["sigma"], (8, 8)))

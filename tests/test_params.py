@@ -213,6 +213,16 @@ class TestValidation:
         for p in (paper_base(), appendix_c_params()):
             assert PhysicalParams.from_json(p.to_json()) == p
 
+    def test_json_keys_in_field_order(self):
+        """`steady --format json` writes these keys in this order."""
+        scalars = ["omega_m", "omega_c", "kappa", "gamma", "g",
+                   "lambda_pa", "phi", "temperature", "drive"]
+        for p, drive in ((paper_base(), ["P_minus", "P_plus"]),
+                         (appendix_c_params(), ["G_minus", "G_plus"])):
+            obj = p.to_json()
+            assert list(obj) == scalars
+            assert list(obj["drive"]) == drive
+
     def test_json_accepts_drive_spec_alias(self):
         obj = paper_base().to_json()
         obj["drive_spec"] = obj.pop("drive")

@@ -235,14 +235,14 @@ class TestAnalyzeStack:
         models = random_models(40, seed=20251021)  # stable and unstable draws
         assert len({analyze(m).stable for m in models}) == 2
         w = np.stack([build_drift(m) for m in models])
-        for stacked in (analyze_stack(models), analyze_stack(models, w)):
-            assert len(stacked) == len(models)
-            for m, report in zip(models, stacked):
-                single = analyze(m)
-                for field in fields(StabilityReport):
-                    got, want = getattr(report, field.name), getattr(single, field.name)
-                    assert type(got) is type(want), field.name
-                    if field.name == "eigenvalues":
-                        assert np.array_equal(got, want)
-                    else:
-                        assert got == want, field.name
+        stacked = analyze_stack(models, w)
+        assert len(stacked) == len(models)
+        for m, report in zip(models, stacked):
+            single = analyze(m)
+            for field in fields(StabilityReport):
+                got, want = getattr(report, field.name), getattr(single, field.name)
+                assert type(got) is type(want), field.name
+                if field.name == "eigenvalues":
+                    assert np.array_equal(got, want)
+                else:
+                    assert got == want, field.name
