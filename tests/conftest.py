@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from omsqueeze import (
     analyze,
     appendix_c_params,
     derive_model,
+    figure_preset,
     log_negativity,
     rhsc_coefficients,
+    run_sweep,
     symplectic_form,
 )
 from omsqueeze.matrices import MODE_1, MODE_2
@@ -171,3 +174,17 @@ def assert_negativity_follows_vidal_werner(sigma):
 @pytest.fixture(scope="session")
 def appendix_c_model():
     return derive_model(appendix_c_params())
+
+
+@pytest.fixture(scope="session")
+def figure_results():
+    """run_sweep of every grid figure preset, shared by the acceptance pins,
+    the preset physics checks and the figure fingerprint."""
+    from golden_figures import GRID_NAMES
+
+    out = {}
+    for name in GRID_NAMES:
+        start = time.perf_counter()
+        out[name] = run_sweep(figure_preset(name))
+        assert time.perf_counter() - start < 120.0  # nominal: well under a minute
+    return out

@@ -24,12 +24,10 @@ from omsqueeze import (
     derive_model,
     drift_eigenvalues,
     evolve_to_steady,
-    figure_preset,
     initial_covariance,
     metric_row,
     paper_base,
     rhsc_check,
-    run_sweep,
     single_mode_variances,
     solve_lyapunov,
     symplectic_form,
@@ -53,16 +51,6 @@ def _report(criterion, detail):
 @pytest.fixture(scope="module")
 def stable_draws():
     return random_models(100, seed=20250815, stable=True)
-
-
-@pytest.fixture(scope="module")
-def figure_results():
-    out = {}
-    for name in ("fig2a", "fig2b", "fig5a", "fig5b"):
-        start = time.perf_counter()
-        out[name] = run_sweep(figure_preset(name))
-        assert time.perf_counter() - start < 120.0  # nominal: well under a minute
-    return out
 
 
 class TestCriterion1RhscPin:

@@ -499,13 +499,13 @@ class TestFigurePresets:
 class TestPresetPhysics:
     """Qualitative signatures of the power-driven and thermal sweeps."""
 
-    def test_fig3_optical_squeezing_capped_at_3db(self):
-        result = run_sweep(figure_preset("fig3a"))
+    def test_fig3_optical_squeezing_capped_at_3db(self, figure_results):
+        result = figure_results["fig3a"]
         assert all(p.stable and p.error is None for p in result.grid)
         assert max(p.metrics["s2_c_db"] for p in result.grid) < 3.0103
 
-    def test_fig3_mechanical_squeezing_phase_sensitivity(self):
-        result = run_sweep(figure_preset("fig3b"))
+    def test_fig3_mechanical_squeezing_phase_sensitivity(self, figure_results):
+        result = figure_results["fig3b"]
 
         def at(phi_over_pi, ratio):
             pts = [p for p in result.grid
@@ -517,8 +517,8 @@ class TestPresetPhysics:
         assert at(1 / 24, 0.1) > 3.0103
         assert at(1 / 16, 0.1) < 3.0103
 
-    def test_fig4_pump_gain_lifts_low_ratio_squeezing_past_3db(self):
-        result = run_sweep(figure_preset("fig4b"))
+    def test_fig4_pump_gain_lifts_low_ratio_squeezing_past_3db(self, figure_results):
+        result = figure_results["fig4b"]
 
         def at(lam, ratio):
             pts = [p for p in result.grid
@@ -529,8 +529,8 @@ class TestPresetPhysics:
         assert at(0.0, 0.1) < 3.0103
         assert at(0.49, 0.1) > 3.0103
 
-    def test_fig6_temperature_degrades_squeezing(self):
-        result = run_sweep(figure_preset("fig6b"))
+    def test_fig6_temperature_degrades_squeezing(self, figure_results):
+        result = figure_results["fig6b"]
         assert all(p.error is None for p in result.grid)
         best = {}
         for t in (10.0, 400.0, 1000.0):
