@@ -116,9 +116,16 @@ class PhysicalParams:
                 "drive must carry either "
                 + " or ".join("{" + ", ".join(sorted(names)) + "}" for names in kinds)
             )
-        unknown = set(values) - {f.name for f in fields(PhysicalParams)}
+        names = {f.name for f in fields(PhysicalParams)} - {"drive"}
+        unknown = set(values) - names
         if unknown:
             raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
+        missing = names - set(values)
+        if missing:
+            raise ValueError(f"missing parameter fields: {sorted(missing)}")
+        for name, value in {**values, **drive}.items():
+            if type(value) not in (int, float):  # bool, str, list, null
+                raise ValueError(f"parameter {name} must be a number, got {value!r}")
         return PhysicalParams(drive=kind(**drive), **values)
 
 

@@ -167,6 +167,9 @@ class SweepAxis:
                 "an axis takes exactly {name, values} or {name, min, max, count}, "
                 f"got {sorted(obj)}"
             )
+        for key in ("min", "max"):
+            if type(obj[key]) not in (int, float):  # bool, str, list, null
+                raise ValueError(f"axis {key} must be a number, got {obj[key]!r}")
         count = obj["count"]
         if type(count) not in (int, float) or count % 1 != 0:  # bool, 2.7, inf, NaN
             raise ValueError(f"axis count must be a whole number, got {count!r}")
@@ -228,6 +231,9 @@ class SweepSpec:
         unknown = set(obj) - {f.name for f in fields(SweepSpec)}
         if unknown:
             raise ValueError(f"unknown sweep spec fields: {sorted(unknown)}")
+        missing = {"base", "axes"} - set(obj)
+        if missing:
+            raise ValueError(f"missing sweep spec fields: {sorted(missing)}")
         values = dict(
             obj,
             base=PhysicalParams.from_json(obj["base"]),

@@ -352,6 +352,41 @@ class TestUsageErrors:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("drop, message", [
+        ("axes", "missing sweep spec fields: ['axes']"),
+        ("base", "missing sweep spec fields: ['base']"),
+    ])
+    def test_sweep_spec_without_a_required_field(self, tmp_path, capsys, drop, message):
+        spec = {
+            "base": paper_base().to_json(),
+            "axes": [{"name": "lambda_over_kappa", "min": 0.0, "max": 0.4, "count": 3}],
+            "coupling_mode": "powers",
+        }
+        del spec[drop]
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec))
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sweep_axis_with_a_non_numeric_bound(self, tmp_path, capsys):
+        spec = {
+            "base": paper_base().to_json(),
+            "axes": [{"name": "lambda_over_kappa", "min": "a", "max": 0.4, "count": 3}],
+            "coupling_mode": "powers",
+        }
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec))
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: axis min must be a number, got 'a'\n"
+
+    def test_parameter_file_without_kappa(self, tmp_path, capsys):
+        params = appendix_c_params().to_json()
+        del params["kappa"]
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps(params))
+        assert main(["stability", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: missing parameter fields: ['kappa']\n"
+
     @pytest.mark.parametrize("command", [["sweep", "--config", "spec.json"],
                                          ["figure", "fig3a"], ["optimum", "fig3a"]])
     def test_jobs_flag_is_gone(self, command, capsys):
