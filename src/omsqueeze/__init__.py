@@ -73,7 +73,6 @@ from .stability import (
     RhscCoefficients,
     StabilityReport,
     analyze,
-    analyze_stack,
     drift_eigenvalues,
     rhsc_check,
     rhsc_coefficients,

@@ -252,8 +252,8 @@ def _report_sweep(result, heading: str, out: Path, fmt: str) -> int:
     Points that raised are counted apart from unstable ones, and the first
     error text goes to stderr.
     """
-    stable = sum(1 for p in result.grid if p.stable)
-    errors = [p.error for p in result.grid if p.error is not None]
+    stable = int(result.stable.sum())
+    errors = [error for error in result.errors if error is not None]
     print(f"{heading} ({stable} stable" + (f", {len(errors)} failed)" if errors else ")"))
     if errors:
         print(f"warning: first failed grid point: {errors[0]}", file=sys.stderr)
@@ -273,7 +273,7 @@ def cmd_sweep(args) -> int:
     spec = _load_spec(args.config)
     result = run_sweep(spec)
     out = args.out if args.out is not None else Path(f"{spec.name}.csv")
-    return _report_sweep(result, f"swept {len(result.grid)} points", out, args.format)
+    return _report_sweep(result, f"swept {len(result.stable)} points", out, args.format)
 
 
 def cmd_figure(args) -> int:
@@ -289,7 +289,8 @@ def cmd_figure(args) -> int:
         print(f"wrote {out}")
         return 0
     result = run_sweep(preset)
-    return _report_sweep(result, f"{args.name}: {len(result.grid)} grid points", out, args.format)
+    heading = f"{args.name}: {len(result.stable)} grid points"
+    return _report_sweep(result, heading, out, args.format)
 
 
 def cmd_optimum(args) -> int:

@@ -2,16 +2,15 @@
 
 Solves W sigma + sigma W^T = -D in the sum/difference quadratures, where
 the drift and the diffusion are block diagonal, W = W_+ (+) W_- and
-D = D_+ (+) D_- (`matrices.split_sectors`), and so is the steady state:
-each sector solves W_s sigma_s + sigma_s W_s^T = -D_s as a 16x16 dense
-system, and `matrices.join_sectors` rotates sigma_+ (+) sigma_- back, with
-no rounding beyond its sums.  A W or a D that does not split raises
-ValueError.  Every solve first checks strict stability on the spectrum of
-the two sectors, by the rule `stability.spectral_verdict` owns; no caller
-can skip that check.
-
-W and D may be stacks (..., 8, 8): each matrix is solved as it would be
-alone, so a sweep solves many grid points in one call.
+D = D_+ (+) D_- (`matrices.split_sectors`), and so is the steady state.
+Each sigma_s is symmetric, so each sector is a 10x10 system in the upper
+triangle of sigma_s (of the symmetric part of D_s), and
+`matrices.join_sectors` rotates sigma_+ (+) sigma_- back.  A W or a D that
+does not split raises ValueError.  W and D may be stacks (..., 8, 8), each
+matrix solved as it would be alone, with one eigensolve of the sectors for
+the stability decision and the condition estimate: `solve_lyapunov`
+rejects any drift that `stability.spectral_verdict` does not call stable,
+and `solve_stable` gates each drift and solves those that pass.
 """
 
 from __future__ import annotations
@@ -27,28 +26,84 @@ from .stability import MARGINAL_BAND, spectral_verdict
 
 @dataclass(frozen=True)
 class LyapunovSolution:
-    sigma: np.ndarray  # (..., n, n) like W; for a stack, each float is the worst
-    residual_norm: float  # ||W s + s W^T + D||_F / ||D||_F, post-symmetrization
-    condition_estimate: float
+    sigma: np.ndarray  # (..., n, n) like W
+    residual_norm: float  # ||W s + s W^T + D||_F / ||D||_F; a stack's worst
+    condition_estimate: float  # a stack's worst
+    residuals: np.ndarray  # (...) residual of each matrix of a stack
+    conditions: np.ndarray  # (...) condition estimate of each matrix
+
+
+def _residuals(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    r = w @ sigma + sigma @ w.swapaxes(-1, -2) + d
+    return np.linalg.norm(r, axis=(-2, -1)) / np.linalg.norm(d, axis=(-2, -1))
 
 
 def residual(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> float:
     """Relative Frobenius residual of a candidate steady state (a stack's worst)."""
+    w, d, sigma = (np.asarray(x, dtype=float) for x in (w, d, sigma))
+    return float(np.max(_residuals(w, d, sigma)))
+
+
+# The 10 unknowns of a symmetric 4x4 sigma_s are its entries i <= j;
+# _SYMMETRIC maps each (i, j) to its unknown.
+_UPPER = np.triu_indices(4)
+_SYMMETRIC = np.zeros((4, 4), dtype=int)
+_SYMMETRIC[_UPPER] = np.arange(10)
+_SYMMETRIC = np.maximum(_SYMMETRIC, _SYMMETRIC.T)
+
+
+def _operator_pattern() -> np.ndarray:
+    """P (16, 100) with vec(W_s) @ P the 10x10 operator, row-major: entry
+    (i, j) of W_s sigma_s + sigma_s W_s^T is sum_k W_ik sigma_kj + W_jk sigma_ik."""
+    pattern = np.zeros((4, 4, 10, 10))  # [row of W_s, column of W_s, equation, unknown]
+    for equation, (i, j) in enumerate(zip(*_UPPER)):
+        for k in range(4):
+            pattern[i, k, equation, _SYMMETRIC[k, j]] += 1.0
+            pattern[j, k, equation, _SYMMETRIC[i, k]] += 1.0
+    return pattern.reshape(16, 100)
+
+
+_PATTERN = _operator_pattern()
+
+
+def _symmetric_operator(sectors: np.ndarray) -> np.ndarray:
+    """The Lyapunov operator of each sector of a (..., 2, 4, 4) stack on the
+    upper-triangle entries of a symmetric sigma_s, as (..., 2, 10, 10).  Each
+    entry is a sum of at most two entries of W_s, so it is exact to one
+    rounding whatever the order of the product."""
+    flat = sectors.reshape(*sectors.shape[:-2], 16)
+    return (flat @ _PATTERN).reshape(*sectors.shape[:-2], 10, 10)
+
+
+def _split(w, d):
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    r = w @ sigma + sigma @ w.swapaxes(-1, -2) + d
-    return float(np.max(np.linalg.norm(r, axis=(-2, -1)) / np.linalg.norm(d, axis=(-2, -1))))
+    if w.ndim < 2 or w.shape[-2] != w.shape[-1] or d.shape != w.shape:
+        raise ValueError("drift and diffusion matrices must be square and congruent")
+    sectors = split_sectors(w)
+    eigenvalues = np.linalg.eigvals(sectors).reshape(*w.shape[:-2], 8)
+    return w, d, sectors, split_sectors(d), eigenvalues
 
 
-def _sector_operator(sectors: np.ndarray) -> np.ndarray:
-    """I (x) W_s + W_s (x) I for each sector of a (..., 2, 4, 4) stack: the
-    Lyapunov operator on the row-major vec of sigma_s, as (..., 2, 16, 16)."""
-    op = np.zeros((*sectors.shape[:-2], 4, 4, 4, 4))  # indexed [..., p, a, q, b]
-    for k in range(4):
-        op[..., k, :, k, :] += sectors
-        op[..., :, k, :, k] += sectors
-    return op.reshape(*sectors.shape[:-2], 16, 16)
+def _solve(w, d, sectors, d_sectors, eigenvalues) -> LyapunovSolution:
+    rhs = -(d_sectors[..., _UPPER[0], _UPPER[1]] + d_sectors[..., _UPPER[1], _UPPER[0]]) / 2.0
+    try:
+        upper = np.linalg.solve(_symmetric_operator(sectors), rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ThresholdError(f"sector Lyapunov system is singular: {exc}") from exc
+    # + 0.0 turns -0.0 into 0.0: the sign of an exact zero follows the pivots
+    sigma = join_sectors(upper[..., _SYMMETRIC]) + 0.0
+
+    sums = np.abs(eigenvalues[..., :, None] + eigenvalues[..., None, :])
+    conditions = np.max(sums, axis=(-2, -1)) / np.min(sums, axis=(-2, -1))
+    residuals = _residuals(w, d, sigma)
+    return LyapunovSolution(
+        sigma=sigma,
+        residual_norm=float(np.max(residuals)),
+        condition_estimate=float(np.max(conditions)),
+        residuals=residuals,
+        conditions=conditions,
+    )
 
 
 def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
@@ -58,20 +113,9 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
     system is exactly singular whenever two drift eigenvalues sum to zero,
     and a clean rejection beats a garbage solve.  The precheck accepts a
     drift, and words its rejection, by `stability.spectral_verdict` of the
-    largest real part over the whole stack.  One eigensolve per call, over
-    the (..., 2, 4, 4) stack of sectors, serves both the precheck and the
-    condition estimate.  A drift or a diffusion that does not split
-    raises ValueError.
+    largest real part over the whole stack.
     """
-    w = np.asarray(w, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if w.ndim < 2 or w.shape[-2] != w.shape[-1] or d.shape != w.shape:
-        raise ValueError("drift and diffusion matrices must be square and congruent")
-    batch = w.shape[:-2]
-    sectors = split_sectors(w)
-    rhs = -split_sectors(d).reshape(*batch, 2, 16, 1)
-
-    eigenvalues = np.linalg.eigvals(sectors).reshape(*batch, 8)
+    w, d, sectors, d_sectors, eigenvalues = _split(w, d)
     spectral_abscissa = float(np.max(eigenvalues.real))
     kind = spectral_verdict(spectral_abscissa)
     if kind != "stable":
@@ -79,20 +123,21 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
             f"drift is {kind}: spectral abscissa {spectral_abscissa:.3e} fails the "
             f"strict-stability precheck (required < -{MARGINAL_BAND:.0e})"
         )
+    return _solve(w, d, sectors, d_sectors, eigenvalues)
 
-    try:
-        vec = np.linalg.solve(_sector_operator(sectors), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ThresholdError(f"sector Lyapunov system is singular: {exc}") from exc
-    sigma = join_sectors(vec.reshape(*batch, 2, 4, 4))
-    # + 0.0 turns -0.0 into 0.0: the sign of an exact zero follows the pivots
-    sigma = (sigma + sigma.swapaxes(-1, -2)) / 2.0 + 0.0
 
-    sums = np.abs(eigenvalues[..., :, None] + eigenvalues[..., None, :])
-    condition = float(np.max(np.max(sums, axis=(-2, -1)) / np.min(sums, axis=(-2, -1))))
-
-    return LyapunovSolution(
-        sigma=sigma,
-        residual_norm=residual(w, d, sigma),
-        condition_estimate=condition,
-    )
+def solve_stable(
+    w: np.ndarray, d: np.ndarray, rhsc_stable: np.ndarray
+) -> tuple[np.ndarray, LyapunovSolution | None]:
+    """Gate each drift of a stack (n, 8, 8) and solve the ones that pass:
+    those whose `rhsc_stable` (the Routh-Hurwitz verdict of its model)
+    holds and whose spectral abscissa `stability.spectral_verdict` calls
+    stable.  Returns that mask and the solution of the drifts it selects,
+    in order (None if it selects none)."""
+    w, d, sectors, d_sectors, eigenvalues = _split(w, d)
+    spectral = spectral_verdict(eigenvalues.real.max(axis=-1))
+    stable = np.asarray(rhsc_stable) & (spectral == "stable")
+    if not stable.any():
+        return stable, None
+    return stable, _solve(w[stable], d[stable], sectors[stable], d_sectors[stable],
+                          eigenvalues[stable])

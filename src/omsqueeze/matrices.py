@@ -44,12 +44,23 @@ def coupling_coefficients(m: ModelParams) -> tuple[float, float, float, float]:
     return a, b, c, s
 
 
+def _assemble(rows: list[list], *values) -> np.ndarray:
+    """The 8x8 matrix with these entries; if the `values` they are built
+    from are arrays, the stack of one such matrix per element."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    if not shape:
+        return np.array(rows, dtype=float)
+    entries = [np.broadcast_to(x, shape) for row in rows for x in row]
+    return np.stack(entries, axis=-1).reshape(*shape, 8, 8)
+
+
 def build_drift(m: ModelParams) -> np.ndarray:
-    """Assemble the 8x8 drift matrix of the linearized quadrature dynamics."""
+    """Assemble the 8x8 drift matrix of the linearized quadrature dynamics
+    (a stack (..., 8, 8) for a model with array fields)."""
     a, b, c, s = coupling_coefficients(m)
     k2 = -m.kappa / 2.0
     g2 = -m.gamma / 2.0
-    return np.array(
+    return _assemble(
         [
             [k2, 0., c, s, 0., -a, 0., 0.],
             [0., k2, s, -c, b, 0., 0., 0.],
@@ -59,7 +70,8 @@ def build_drift(m: ModelParams) -> np.ndarray:
             [b, 0., 0., 0., 0., g2, 0., 0.],
             [0., 0., 0., -a, 0., 0., g2, 0.],
             [0., 0., b, 0., 0., 0., 0., g2],
-        ]
+        ],
+        a, b, c, s, k2, g2,
     )
 
 
@@ -102,10 +114,14 @@ def join_sectors(sectors: np.ndarray) -> np.ndarray:
 
 
 def build_diffusion(m: ModelParams) -> np.ndarray:
-    """Diagonal noise-injection matrix from the delta-correlated baths."""
+    """Diagonal noise-injection matrix from the delta-correlated baths (a
+    stack for a model with array fields)."""
     cav = m.kappa * (m.n_c + 0.5)
     mech = m.gamma * (m.n_m + 0.5)
-    return np.diag([cav] * 4 + [mech] * 4)
+    diagonal = [cav] * 4 + [mech] * 4
+    return _assemble(
+        [[x if i == j else 0.0 for j in range(8)] for i, x in enumerate(diagonal)], cav, mech
+    )
 
 
 def initial_covariance(m: ModelParams) -> np.ndarray:

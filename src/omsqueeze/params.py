@@ -4,12 +4,18 @@ Everything downstream works in cavity-decay units (kappa = 1). This module
 owns the conversion: laser powers turn into intracavity field strengths,
 field strengths into steady cavity amplitudes, amplitudes into effective
 two-tone coupling rates, and bath temperatures into mean occupations.
+
+Fields may also be float arrays, one element per grid row: the reductions
+then give each row the bits of the scalar call, and validation, which a
+scalar instance raises on, becomes the row mask `invalid_rows`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
+
+import numpy as np
 
 from .errors import ThresholdError
 
@@ -22,22 +28,58 @@ K_BOLTZMANN = 1.380649e-23  # J / K
 RWA_GUARD_FRACTION = 0.3
 
 
-def _require_finite(obj, names: tuple[str, ...]) -> None:
-    """Reject NaN and infinite fields; range checks alone let NaN through."""
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+# Each class lists its validation RULES, (fields, test, message), in the
+# order they are checked; finiteness comes first, since range tests alone
+# let NaN through.
+_FINITE = "{name} must be finite, got {value}"
 
 
-def wrap_phase(phi: float) -> float:
-    """Reduce an angle to the canonical interval (-pi, pi]."""
-    r = math.fmod(phi, 2.0 * math.pi)
-    if r > math.pi:
-        r -= 2.0 * math.pi
-    elif r <= -math.pi:
-        r += 2.0 * math.pi
-    return r
+def _validate(obj) -> None:
+    """Raise ValueError for the first rule a scalar field breaks; array
+    fields are left to `invalid_rows`."""
+    for names, test, message in obj.RULES:
+        for name in names:
+            value = getattr(obj, name)
+            if not isinstance(value, np.ndarray) and not test(value):
+                raise ValueError(message.format(name=name, value=value))
+
+
+def invalid_rows(obj) -> np.ndarray:
+    """Mask of the rows of `obj` (and of its drive) that break a rule."""
+    bad = np.zeros((), dtype=bool)
+    for names, test, _ in obj.RULES:
+        for name in names:
+            bad = bad | ~np.asarray(test(getattr(obj, name)))
+    drive = getattr(obj, "drive", None)
+    return bad if drive is None else bad | invalid_rows(drive)
+
+
+def _per_distinct(fn, *args):
+    """The pair fn(*args) returns, as a pair of arrays when an argument is
+    an array: fn runs once per distinct row of the broadcast arguments, on
+    plain floats, so every row gets the scalar call's bits; a row it rejects
+    with ValueError gets NaN, which `invalid_rows` of the model flags."""
+    if not any(isinstance(arg, np.ndarray) for arg in args):
+        return fn(*args)
+    columns = np.broadcast_arrays(*args)
+    table = np.stack([c.reshape(-1) for c in columns], axis=-1)
+    distinct, inverse = np.unique(table, axis=0, return_inverse=True)
+    results = []
+    for row in distinct.tolist():
+        try:
+            results.append(fn(*row))
+        except ValueError:
+            results.append((math.nan, math.nan))
+    values = np.array(results)[inverse.reshape(-1)]
+    return tuple(v.reshape(columns[0].shape) for v in values.T)
+
+
+def wrap_phase(phi):
+    """Reduce an angle (or each of an array) to the canonical interval (-pi, pi]."""
+    r = np.array(np.fmod(phi, 2.0 * math.pi))
+    np.subtract(r, 2.0 * math.pi, out=r, where=r > math.pi)
+    np.add(r, 2.0 * math.pi, out=r, where=r <= -math.pi)
+    return r.item() if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)
@@ -47,10 +89,13 @@ class PowerDrive:
     P_minus: float
     P_plus: float
 
+    RULES = (
+        (("P_minus", "P_plus"), np.isfinite, _FINITE),
+        (("P_minus", "P_plus"), lambda v: v >= 0, "drive powers must be >= 0"),
+    )
+
     def __post_init__(self):
-        _require_finite(self, ("P_minus", "P_plus"))
-        if self.P_minus < 0 or self.P_plus < 0:
-            raise ValueError("drive powers must be >= 0")
+        _validate(self)
 
 
 @dataclass(frozen=True)
@@ -60,10 +105,13 @@ class DirectCouplings:
     G_minus: float
     G_plus: float
 
+    RULES = (
+        (("G_minus", "G_plus"), np.isfinite, _FINITE),
+        (("G_minus", "G_plus"), lambda v: v >= 0, "effective couplings must be >= 0"),
+    )
+
     def __post_init__(self):
-        _require_finite(self, ("G_minus", "G_plus"))
-        if self.G_minus < 0 or self.G_plus < 0:
-            raise ValueError("effective couplings must be >= 0")
+        _validate(self)
 
 
 @dataclass(frozen=True)
@@ -84,16 +132,16 @@ class PhysicalParams:
     temperature: float
     drive: PowerDrive | DirectCouplings
 
+    RULES = (
+        (("omega_m", "omega_c", "kappa", "gamma", "g", "lambda_pa", "phi", "temperature"),
+         np.isfinite, _FINITE),
+        (("omega_m", "omega_c", "kappa", "gamma", "g"), lambda v: v > 0, "{name} must be > 0"),
+        (("lambda_pa",), lambda v: v >= 0, "lambda_pa must be >= 0"),
+        (("temperature",), lambda v: v >= 0, "temperature must be >= 0"),
+    )
+
     def __post_init__(self):
-        _require_finite(self, ("omega_m", "omega_c", "kappa", "gamma", "g",
-                               "lambda_pa", "phi", "temperature"))
-        for name in ("omega_m", "omega_c", "kappa", "gamma", "g"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.lambda_pa < 0:
-            raise ValueError("lambda_pa must be >= 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        _validate(self)
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
     def to_json(self) -> dict:
@@ -149,12 +197,15 @@ class ModelParams:
     kappa: float = 1.0
     rwa_flagged: bool = False
 
+    RULES = (
+        (("G_minus", "G_plus", "lambda_pa", "phi", "gamma", "n_c", "n_m", "omega_m", "kappa"),
+         np.isfinite, _FINITE),
+        (("G_minus", "G_plus", "lambda_pa", "gamma", "n_c", "n_m"), lambda v: v >= 0,
+         "{name} must be >= 0"),
+    )
+
     def __post_init__(self):
-        _require_finite(self, ("G_minus", "G_plus", "lambda_pa", "phi", "gamma",
-                               "n_c", "n_m", "omega_m", "kappa"))
-        for name in ("G_minus", "G_plus", "lambda_pa", "gamma", "n_c", "n_m"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _validate(self)
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
 
@@ -213,23 +264,23 @@ def effective_couplings(params: PhysicalParams) -> tuple[float, float]:
     For power-specified drives this runs the full chain power -> field
     strength -> steady amplitude -> g |c_s|; magnitudes are taken, which is
     exact in the weak-coupling resolved-sideband regime where the steady
-    amplitudes can be chosen real.
+    amplitudes can be chosen real.  Array fields run the chain once per
+    distinct input.
     """
     if isinstance(params.drive, DirectCouplings):
         return params.drive.G_minus, params.drive.G_plus
-    e_minus = drive_amplitude(
-        params.drive.P_minus, params.omega_c - params.omega_m, params.kappa
+    return _per_distinct(
+        _power_couplings, params.drive.P_minus, params.drive.P_plus,
+        params.omega_m, params.omega_c, params.kappa, params.g, params.lambda_pa,
     )
-    e_plus = drive_amplitude(
-        params.drive.P_plus, params.omega_c + params.omega_m, params.kappa
-    )
-    cs_minus = steady_cavity_amplitude(
-        e_minus, params.kappa, +params.omega_m, +params.omega_m, params.lambda_pa
-    )
-    cs_plus = steady_cavity_amplitude(
-        e_plus, params.kappa, -params.omega_m, -params.omega_m, params.lambda_pa
-    )
-    return params.g * abs(cs_minus), params.g * abs(cs_plus)
+
+
+def _power_couplings(p_minus, p_plus, omega_m, omega_c, kappa, g, lambda_pa):
+    e_minus = drive_amplitude(p_minus, omega_c - omega_m, kappa)
+    e_plus = drive_amplitude(p_plus, omega_c + omega_m, kappa)
+    cs_minus = steady_cavity_amplitude(e_minus, kappa, +omega_m, +omega_m, lambda_pa)
+    cs_plus = steady_cavity_amplitude(e_plus, kappa, -omega_m, -omega_m, lambda_pa)
+    return g * abs(cs_minus), g * abs(cs_plus)
 
 
 def as_direct_drive(params: PhysicalParams) -> PhysicalParams:
@@ -240,6 +291,10 @@ def as_direct_drive(params: PhysicalParams) -> PhysicalParams:
     return replace(params, drive=DirectCouplings(G_minus=g_minus, G_plus=g_plus))
 
 
+def _occupations(omega_c, omega_m, temperature):
+    return thermal_occupation(omega_c, temperature), thermal_occupation(omega_m, temperature)
+
+
 def derive_model(params: PhysicalParams) -> ModelParams:
     """Reduce raw inputs to the kappa-normalized model parameters."""
     g_minus, g_plus = effective_couplings(params)
@@ -248,16 +303,18 @@ def derive_model(params: PhysicalParams) -> ModelParams:
     g_minus_k = g_minus / kappa
     g_plus_k = g_plus / kappa
     lambda_k = params.lambda_pa / kappa
-    flagged = max(g_minus_k, g_plus_k, lambda_k, 1.0) > RWA_GUARD_FRACTION * omega_m_k
+    n_c, n_m = _per_distinct(_occupations, params.omega_c, params.omega_m, params.temperature)
+    fastest = np.maximum(np.maximum(g_minus_k, g_plus_k), np.maximum(lambda_k, 1.0))
+    flagged = fastest > RWA_GUARD_FRACTION * omega_m_k
     return ModelParams(
         G_minus=g_minus_k,
         G_plus=g_plus_k,
         lambda_pa=lambda_k,
         phi=params.phi,
         gamma=params.gamma / kappa,
-        n_c=thermal_occupation(params.omega_c, params.temperature),
-        n_m=thermal_occupation(params.omega_m, params.temperature),
+        n_c=n_c,
+        n_m=n_m,
         omega_m=omega_m_k,
         kappa=1.0,
-        rwa_flagged=flagged,
+        rwa_flagged=flagged if np.ndim(flagged) else bool(flagged),
     )

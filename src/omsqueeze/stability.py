@@ -5,12 +5,14 @@ The drift splits exactly into a sum and a difference sector, W_+ (+) W_-
 same quartic, with coefficients that do not involve the pump phase: that
 is why the 8x8 characteristic polynomial is a perfect square.  The
 analysis runs two independent routes: closed-form Hurwitz minors of that
-quartic, and a dense eigensolve of the two sectors.  `analyze_stack`
-gates many models with one batched eigensolve.
+quartic, and a dense eigensolve of the two sectors.  `analyze` reports
+both for one model; a sweep pairs the minors of a model with array fields
+(one verdict per row) with the spectra of `lyapunov.solve_stable`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +25,19 @@ from .params import ModelParams
 MARGINAL_BAND = 1e-9
 
 
-def spectral_verdict(abscissa: float) -> str:
-    """'stable', 'marginal' or 'unstable' for a spectral abscissa.
+def spectral_verdict(abscissa):
+    """'stable', 'marginal' or 'unstable' for a spectral abscissa (an array
+    of them for an array).
 
     |abscissa| <= MARGINAL_BAND is marginal, so strict stability needs
-    abscissa < -MARGINAL_BAND; NaN is unstable.  The sweep gate
-    (`analyze_stack`) and the Lyapunov precheck both read this rule.
+    abscissa < -MARGINAL_BAND; NaN is unstable.  `analyze`, the sweep gate
+    and the Lyapunov precheck all read this rule.
     """
-    if abs(abscissa) <= MARGINAL_BAND:
-        return "marginal"
-    return "stable" if abscissa < 0.0 else "unstable"
+    a = np.asarray(abscissa)
+    verdict = np.where(
+        np.abs(a) <= MARGINAL_BAND, "marginal", np.where(a < 0.0, "stable", "unstable")
+    )
+    return verdict.item() if verdict.ndim == 0 else verdict
 
 
 @dataclass(frozen=True)
@@ -83,15 +88,9 @@ class StabilityReport:
         return None
 
     def to_json(self) -> dict:
-        c = self.coefficients
+        values = (*self.coefficients.as_tuple(), self.h1, self.h2, self.h3)
         return {
-            "s1": float(c.s1),
-            "s2": float(c.s2),
-            "s3": float(c.s3),
-            "s4": float(c.s4),
-            "h1": float(self.h1),
-            "h2": float(self.h2),
-            "h3": float(self.h3),
+            **{k: float(v) for k, v in zip(("s1", "s2", "s3", "s4", "h1", "h2", "h3"), values)},
             "s_positive": [bool(flag) for flag in self.s_positive],
             "rhsc_stable": bool(self.rhsc_stable),
             "eigenvalues": [
@@ -105,28 +104,34 @@ class StabilityReport:
 
 
 def rhsc_coefficients(m: ModelParams) -> RhscCoefficients:
-    """Closed-form quartic coefficients; independent of the pump phase."""
+    """Closed-form quartic coefficients; independent of the pump phase.
+
+    Squares are products, not powers: numpy squares an array by
+    multiplying, and a float's pow() can differ from that in the last bit,
+    so a row of a stacked model gets the scalar call's bits.
+    """
     kap, gam = m.kappa, m.gamma
-    lam2 = m.lambda_pa**2
-    dg2 = m.G_minus**2 - m.G_plus**2
+    lam2 = m.lambda_pa * m.lambda_pa
+    dg2 = m.G_minus * m.G_minus - m.G_plus * m.G_plus
     s1 = gam + kap
-    s2 = gam * kap + 0.25 * (gam**2 + kap**2 - 4.0 * lam2) + 2.0 * dg2
+    s2 = gam * kap + 0.25 * (gam * gam + kap * kap - 4.0 * lam2) + 2.0 * dg2
     s3 = (gam + kap) * (0.25 * gam * kap + dg2) - gam * lam2
-    s4 = dg2 * (dg2 + 0.5 * gam * kap) + gam**2 / 16.0 * (kap**2 - 4.0 * lam2)
+    s4 = dg2 * (dg2 + 0.5 * gam * kap) + gam * gam / 16.0 * (kap * kap - 4.0 * lam2)
     return RhscCoefficients(s1, s2, s3, s4)
 
 
 def rhsc_check(m: ModelParams) -> tuple[float, float, float, bool]:
-    """Hurwitz minors (h1, h2, h3) and the combined stability verdict."""
+    """Hurwitz minors (h1, h2, h3) and the combined stability verdict (per
+    row, for a model with array fields)."""
     return _hurwitz(rhsc_coefficients(m))
 
 
 def _hurwitz(c: RhscCoefficients) -> tuple[float, float, float, bool]:
     h1 = c.s4
     h2 = c.s2 * c.s3 - c.s1 * h1
-    h3 = c.s1 * h2 - c.s3**2
-    verdict = bool(all(s > 0 for s in c.as_tuple()) and h1 > 0 and h2 > 0 and h3 > 0)
-    return h1, h2, h3, verdict
+    h3 = c.s1 * h2 - c.s3 * c.s3
+    verdict = functools.reduce(np.logical_and, [x > 0 for x in (*c.as_tuple(), h1, h2, h3)])
+    return h1, h2, h3, verdict if np.ndim(verdict) else bool(verdict)
 
 
 def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -140,36 +145,24 @@ def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
     return np.sort(values.reshape(*values.shape[:-2], 8), axis=-1, kind="stable")
 
 
-def analyze_stack(models: list[ModelParams], w: np.ndarray) -> list[StabilityReport]:
-    """`analyze` for many models with one eigensolve of all their sectors.
-
-    `w` is the stack of their drifts (len(models), 8, 8), so a caller that
-    needs the drifts anyway builds them once.
-    """
-    spectra = drift_eigenvalues(w)
-    abscissae = spectra.real.max(axis=-1).tolist()
-    reports = []
-    for m, eigenvalues, abscissa in zip(models, spectra, abscissae):
-        coeffs = rhsc_coefficients(m)
-        h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
-        eig_stable = abscissa < 0.0
-        marginal = spectral_verdict(abscissa) == "marginal"
-        reports.append(StabilityReport(
-            coefficients=coeffs,
-            h1=h1,
-            h2=h2,
-            h3=h3,
-            s_positive=tuple(s > 0 for s in coeffs.as_tuple()),
-            rhsc_stable=rhsc_stable,
-            eigenvalues=eigenvalues,
-            spectral_abscissa=abscissa,
-            eig_stable=eig_stable,
-            marginal=marginal,
-            consistent=(rhsc_stable == eig_stable) or marginal,
-        ))
-    return reports
-
-
 def analyze(m: ModelParams) -> StabilityReport:
     """Run both stability routes and the consistency cross-check."""
-    return analyze_stack([m], build_drift(m)[None])[0]
+    coeffs = rhsc_coefficients(m)
+    h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
+    eigenvalues = drift_eigenvalues(build_drift(m))
+    abscissa = eigenvalues.real.max().item()
+    eig_stable = abscissa < 0.0
+    marginal = spectral_verdict(abscissa) == "marginal"
+    return StabilityReport(
+        coefficients=coeffs,
+        h1=h1,
+        h2=h2,
+        h3=h3,
+        s_positive=tuple(s > 0 for s in coeffs.as_tuple()),
+        rhsc_stable=rhsc_stable,
+        eigenvalues=eigenvalues,
+        spectral_abscissa=abscissa,
+        eig_stable=eig_stable,
+        marginal=marginal,
+        consistent=(rhsc_stable == eig_stable) or marginal,
+    )

@@ -1,25 +1,32 @@
 """Grid sweeps over model parameters with per-point stability gating.
 
-Each grid point derives its own dimensionless model; the derived points
-are then handled in stacks: one drift per point, one stability gate over
-the stack (`analyze_stack`, a single batched eigensolve of the 4x4
-sectors), and one Lyapunov solve and one metric evaluation of its stable
-points, through the kernels a single point uses, so the stack size never
-changes a result.  Unstable points are marked (or skipped), never
-silently zeroed.  Grids are evaluated in deterministic row-major order;
-rerunning a spec reproduces the CSV byte for byte.
+The grid is evaluated in row-major stacks of `BATCH` points, each as
+columns: the axis values of the stack go through `apply_overrides`,
+`derive_model`, `build_drift` and `build_diffusion` as arrays, with the
+bits of the scalar calls, and rows that fail validation come out as a
+mask.  `lyapunov.solve_stable` then eigensolves the stack's sectors once,
+gates every row by that spectrum and the Routh-Hurwitz minors, and solves
+the rows that pass; `metric_row` evaluates them.  A masked row, and every
+row of a stack whose evaluation raises, is evaluated alone through the
+scalar calls, so one bad point is one error row with its own
+"{Type}: {message}".  The stack size never changes a result.
+
+A `SweepResult` holds one float array per metric, the stable mask and the
+per-row error texts; its `grid` of `GridPoint` views is built only when
+read.  Unstable points are marked (or skipped), never silently zeroed.
+Rerunning a spec reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptySweepError
-from .lyapunov import solve_lyapunov
+from .lyapunov import solve_stable
 from .matrices import build_diffusion, build_drift
 from .metrics import METRIC_COLUMNS, metric_row
 from .params import (
@@ -28,8 +35,9 @@ from .params import (
     PowerDrive,
     as_direct_drive,
     derive_model,
+    invalid_rows,
 )
-from .stability import analyze_stack
+from .stability import rhsc_check
 
 # Values this close to the maximum, relative, are tied with it in
 # find_optimum.  A metric that does not depend on the swept axis still
@@ -38,7 +46,7 @@ from .stability import analyze_stack
 # 4.3e-12 relative over the 101 phases.
 OPTIMUM_TIE_RTOL = 1e-11
 
-BATCH = 64  # points per stack; their 4 x 64 sector systems of 16x16 take 0.5 MB
+BATCH = 1024  # points per stack; bounds the stack's arrays to a few MB
 
 AXIS_NAMES = (
     "lambda_over_kappa",
@@ -70,13 +78,18 @@ _RAW_FIELDS = _SCALAR_FIELDS + _POWER_FIELDS + _COUPLING_FIELDS
 OVERRIDE_KEYS = _RAW_FIELDS + AXIS_NAMES
 
 
+def _number(value):
+    return value.astype(float) if isinstance(value, np.ndarray) else float(value)
+
+
 def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> PhysicalParams:
     """Apply raw-field and kappa-normalized overrides to a parameter set.
 
     Unknown keys are hard errors.  Raw fields apply first, then the
     normalized ones, each stage as one replace of the parameters (and one
     of the drive).  Setting a coupling on a power-specified drive first
-    converts it to direct couplings using the current pump gain.
+    converts it to direct couplings using the current pump gain.  Array
+    values give parameters with array fields, one row per element.
     """
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
@@ -86,9 +99,9 @@ def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> Phys
         )
     p = params
 
-    scalars = {n: float(overrides[n]) for n in _SCALAR_FIELDS if n in overrides}
-    powers = {n: float(overrides[n]) for n in _POWER_FIELDS if n in overrides}
-    couplings = {n: float(overrides[n]) for n in _COUPLING_FIELDS if n in overrides}
+    scalars = {n: _number(overrides[n]) for n in _SCALAR_FIELDS if n in overrides}
+    powers = {n: _number(overrides[n]) for n in _POWER_FIELDS if n in overrides}
+    couplings = {n: _number(overrides[n]) for n in _COUPLING_FIELDS if n in overrides}
     drive = p.drive
     if powers:
         if not isinstance(drive, PowerDrive):
@@ -101,7 +114,7 @@ def apply_overrides(params: PhysicalParams, overrides: dict[str, float]) -> Phys
     if scalars or drive is not p.drive:
         p = replace(p, drive=drive, **scalars)
 
-    ratio = {n: float(overrides[n]) for n in _NORMALIZED_ORDER if n in overrides}
+    ratio = {n: _number(overrides[n]) for n in _NORMALIZED_ORDER if n in overrides}
     if not ratio:
         return p
     scalars = {}
@@ -210,11 +223,15 @@ class SweepSpec:
     def grid_size(self) -> int:
         return int(np.prod(self.shape))
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The axis values of all grid points, row-major in axis order."""
+        grids = np.meshgrid(*(np.array(ax.values) for ax in self.axes), indexing="ij")
+        return {ax.name: g.reshape(-1) for ax, g in zip(self.axes, grids)}
+
     def assignments(self) -> list[dict[str, float]]:
         """All grid points, row-major in axis order."""
-        combos = itertools.product(*(ax.values for ax in self.axes))
-        names = [ax.name for ax in self.axes]
-        return [dict(zip(names, combo)) for combo in combos]
+        columns = self.columns()
+        return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
     def to_json(self) -> dict:
         return {
@@ -260,11 +277,31 @@ class GridPoint:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep as columns, row-major over the grid: the axis values, one
+    float array per metric column (NaN where a row has no metrics), the
+    stable mask and the error text of each row (None where it has none)."""
+
     spec: SweepSpec
-    grid: tuple[GridPoint, ...]
+    axes: dict[str, np.ndarray]
+    columns: dict[str, np.ndarray]
+    stable: np.ndarray
+    errors: tuple[str | None, ...]
     optimum: dict[str, dict] = field(default_factory=dict)
+
+    @cached_property
+    def grid(self) -> tuple[GridPoint, ...]:
+        """One `GridPoint` view per row, built on first read."""
+        axes = zip(*(values.tolist() for values in self.axes.values()))
+        metrics = zip(*(values.tolist() for values in self.columns.values()))
+        return tuple(
+            GridPoint(
+                dict(zip(self.axes, point)), stable,
+                dict(zip(self.columns, row)) if stable else None, error,
+            )
+            for point, row, stable, error in zip(axes, metrics, self.stable.tolist(), self.errors)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -274,95 +311,91 @@ class SweepResult:
         }
 
     def write_csv(self, path) -> None:
-        axis_names = [ax.name for ax in self.spec.axes]
+        axis_names = list(self.axes)
         columns = axis_names + list(self.spec.outputs) + ["stable", "physical"]
+        cells = [self.axes[n] for n in axis_names] + [self.columns[n] for n in self.spec.outputs]
+        cells = [[f"{x:.12g}" for x in values.tolist()] for values in cells]
+        cells.append(["1" if flag else "0" for flag in self.stable.tolist()])
+        cells.append([f"{x:.12g}" for x in self.columns["physical"].tolist()])
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")
-            for point in self.grid:
-                cells = [f"{point.axes[n]:.12g}" for n in axis_names]
-                metrics = point.metrics or {}
-                for name in self.spec.outputs:
-                    cells.append(f"{metrics.get(name, math.nan):.12g}")
-                cells.append("1" if point.stable else "0")
-                cells.append(f"{metrics.get('physical', math.nan):.12g}")
-                fh.write(",".join(cells) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _failed(assignment: dict[str, float], exc: Exception) -> GridPoint:
-    return GridPoint(
-        dict(assignment), stable=False, metrics=None,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarray,
+              out: tuple) -> None:
+    """Fill in `rows` of the sweep's (columns, stable, errors) in `out`.
 
-
-def _evaluate(pending: list, points: list[GridPoint]) -> None:
-    """Fill in the rows of the derived points waiting as (row, assignment,
-    model): one drift per point, one stability gate over the stack, then
-    one Lyapunov solve and one metric evaluation of its stable points.  If
-    any of that raises, each point is evaluated alone, so one bad point is
-    one error row."""
+    Many rows go through the array calls as one stack; a row alone goes
+    through the scalar calls, which raise its own error.  Rows that fail
+    validation, and every row of a stack whose evaluation raises, are
+    evaluated alone, so one bad point is one error row.
+    """
+    columns, stable, errors = out
     try:
-        models = [model for _, _, model in pending]
-        w = np.stack([build_drift(model) for model in models])
-        stable = [i for i, report in enumerate(analyze_stack(models, w)) if report.stable]
-        if stable:
-            d = np.stack([build_diffusion(models[i]) for i in stable])
-            sigma = solve_lyapunov(w[stable], d).sigma
-            columns = {k: v.tolist() for k, v in metric_row(sigma).items()}
-    except Exception as exc:  # a failed stack is split; a failed point is recorded
-        if len(pending) == 1:
-            row, assignment, _ = pending[0]
-            points[row] = _failed(assignment, exc)
+        if len(rows) == 1:
+            model = derive_model(apply_overrides(base, {n: v[rows[0]] for n, v in axes.items()}))
+            keep = np.ones(1, dtype=bool)
         else:
-            for waiting in pending:
-                _evaluate([waiting], points)
+            with np.errstate(all="ignore"):  # rows that fail validation are masked
+                params = apply_overrides(base, {n: v[rows] for n, v in axes.items()})
+                model = derive_model(params)
+            keep = ~(invalid_rows(params) | invalid_rows(model))
+            for row in rows[~keep, None]:
+                _evaluate(base, axes, row, out)
+            rows = rows[keep]
+            if not rows.size:
+                return
+        # a quantity that no swept axis reaches is one value for every row
+        w = np.broadcast_to(build_drift(model), (keep.size, 8, 8))[keep]
+        d = np.broadcast_to(build_diffusion(model), (keep.size, 8, 8))[keep]
+        hurwitz = np.broadcast_to(rhsc_check(model)[3], keep.shape)[keep]
+        gate, solution = solve_stable(w, d, hurwitz)
+        metrics = metric_row(solution.sigma) if solution is not None else {}
+    except Exception as exc:  # a failed stack is split; a failed point is recorded
+        if len(rows) == 1:
+            errors[rows[0]] = f"{type(exc).__name__}: {exc}"
+        else:
+            for row in rows[:, None]:
+                _evaluate(base, axes, row, out)
         return
-    for j, i in enumerate(stable):
-        row, assignment, _ = pending[i]
-        metrics = {k: v[j] for k, v in columns.items()}
-        points[row] = GridPoint(dict(assignment), stable=True, metrics=metrics)
+    stable[rows] = gate
+    for name, values in metrics.items():
+        columns[name][rows[gate]] = values
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point and locate the optimum of each output.
 
-    Each point derives its own model; the derived points are gated and
-    their stable ones solved in stacks of `BATCH`, each stack as soon as
-    it is full.
+    The grid is evaluated in row-major stacks of `BATCH` points.
     """
     base = spec.base
     if spec.coupling_mode == "direct":
         base = as_direct_drive(base)
         spec = replace(spec, base=base)
 
-    points: list[GridPoint] = []
-    pending = []  # (row, assignment, model) of derived points not yet evaluated
-    for assignment in spec.assignments():
-        try:
-            model = derive_model(apply_overrides(base, assignment))
-        except Exception as exc:  # per-point failures are recorded, never fatal
-            points.append(_failed(assignment, exc))
-            continue
-        pending.append((len(points), assignment, model))
-        points.append(GridPoint(dict(assignment), stable=False, metrics=None))
-        if len(pending) == BATCH:
-            _evaluate(pending, points)
-            pending = []
-    if pending:
-        _evaluate(pending, points)
+    axes = spec.columns()
+    size = spec.grid_size()
+    columns = {name: np.full(size, math.nan) for name in METRIC_COLUMNS + ("physical",)}
+    stable = np.zeros(size, dtype=bool)
+    errors: list[str | None] = [None] * size
+    for start in range(0, size, BATCH):
+        rows = np.arange(start, min(start + BATCH, size))
+        _evaluate(base, axes, rows, (columns, stable, errors))
 
     if spec.unstable_policy == "skip":
-        points = [p for p in points if p.stable]
-
-    result = SweepResult(spec=spec, grid=tuple(points))
-    optimum = {}
+        axes = {name: values[stable] for name, values in axes.items()}
+        columns = {name: values[stable] for name, values in columns.items()}
+        errors = [None] * int(stable.sum())
+        stable = stable[stable]
+    result = SweepResult(spec, axes, columns, stable, tuple(errors))
     for metric in spec.outputs:
         try:
-            axes, value = find_optimum(result, metric)
-            optimum[metric] = {"axes": axes, "value": value}
+            at, value = find_optimum(result, metric)
+            result.optimum[metric] = {"axes": at, "value": value}
         except EmptySweepError:
-            optimum[metric] = None
-    return SweepResult(spec=spec, grid=tuple(points), optimum=optimum)
+            result.optimum[metric] = None
+    return result
 
 
 def find_optimum(result: SweepResult, metric: str) -> tuple[dict[str, float], float]:
@@ -373,14 +406,9 @@ def find_optimum(result: SweepResult, metric: str) -> tuple[dict[str, float], fl
     """
     if metric not in result.spec.outputs:
         raise ValueError(f"metric {metric!r} not among sweep outputs {result.spec.outputs}")
-    values = [
-        point.metrics.get(metric, math.nan)
-        if point.stable and point.metrics is not None else math.nan
-        for point in result.grid
-    ]
-    top = max((value for value in values if not math.isnan(value)), default=None)
-    if top is None:
+    values = np.where(result.stable, result.columns[metric], math.nan)
+    if np.isnan(values).all():
         raise EmptySweepError(f"no stable grid point carries metric {metric!r}")
-    floor = top - OPTIMUM_TIE_RTOL * abs(top)
-    index = next(i for i, value in enumerate(values) if value >= floor)
-    return result.grid[index].axes, values[index]
+    top = np.nanmax(values)
+    index = int(np.argmax(values >= top - OPTIMUM_TIE_RTOL * abs(top)))
+    return {name: v[index].item() for name, v in result.axes.items()}, values[index].item()

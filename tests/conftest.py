@@ -146,6 +146,18 @@ def kronecker_lyapunov(w, d):
     return (sigma + sigma.T) / 2.0
 
 
+def kronecker_sector_operator(sectors):
+    """I (x) W_s + W_s (x) I for each sector of a (..., 2, 4, 4) stack: the
+    Lyapunov operator on the row-major vec of a general sigma_s, as
+    (..., 2, 16, 16), built term by term; an oracle for the 10x10 operator
+    on symmetric sigma_s that the solver uses."""
+    op = np.zeros((*sectors.shape[:-2], 4, 4, 4, 4))  # indexed [..., p, a, q, b]
+    for k in range(4):
+        op[..., k, :, k, :] += sectors
+        op[..., :, k, :, k] += sectors
+    return op.reshape(*sectors.shape[:-2], 16, 16)
+
+
 def vidal_werner_negativity(sigma, pair):
     """E_N = sum over nu~ < 1/2 of -log(2 nu~) (Vidal-Werner, PRA 65, 032314)
     and the nu~: the symplectic eigenvalues of the partially transposed

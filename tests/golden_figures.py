@@ -30,10 +30,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "figures.json"
 GRID_NAMES = tuple(n for n in FIGURE_NAMES if not isinstance(figure_preset(n), TracePreset))
 
 # Relative tolerance of every float in the file, chosen by measurement:
-# rounding-level changes to the solver (last-bit noise on sigma) move a
-# min, max or sum by at most ~1e-14, while the E_N formula that cancelled
-# near Lambda -> kappa/2 (cells off by up to 2.8e-9) moves the en_cc and
-# en_mm maxima and sums by 1e-10 and more.
+# rounding-level changes to the solver move a min, max or sum by at most
+# 3e-12 (2-ulp noise on every entry of sigma: 1.3e-12; the 10x10 sector
+# kernel in place of the 16x16 one: 2.9e-12, on an s2_c_db maximum near
+# 0 dB), while the E_N formula that cancelled near Lambda -> kappa/2 (cells
+# off by up to 2.8e-9) moves en_cc and en_mm sums by 2.3e-11 and maxima by
+# up to 2.6e-9, and moves optimum lines.  The stack size moves nothing.
 RTOL = 1e-11
 
 
@@ -57,11 +59,10 @@ def optimum_lines(result) -> list[str]:
 
 
 def grid_fingerprint(result) -> dict:
-    columns = result_columns(result)
-    stable = np.array([p.stable for p in result.grid])
+    columns = result.columns
     entry = {
-        "rows": len(stable),
-        "stable": int(stable.sum()),
+        "rows": len(result.stable),
+        "stable": int(result.stable.sum()),
         "physical": int(np.sum(columns["physical"] == 1.0)),
         "columns": {},
         "optimum": optimum_lines(result),
@@ -77,15 +78,6 @@ def grid_fingerprint(result) -> dict:
             "argmax": banded_argmax(values),
         }
     return entry
-
-
-def result_columns(result) -> dict[str, np.ndarray]:
-    """One float array per metric (and `physical`), NaN where a row has none."""
-    names = list(result.spec.outputs) + ["physical"]
-    return {
-        name: np.array([(p.metrics or {}).get(name, math.nan) for p in result.grid])
-        for name in names
-    }
 
 
 def trace_fingerprint(preset: TracePreset) -> dict:

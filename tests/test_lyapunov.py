@@ -20,9 +20,9 @@ from omsqueeze import (
     solve_lyapunov,
 )
 
-from omsqueeze.lyapunov import _sector_operator
+from omsqueeze.lyapunov import _symmetric_operator, solve_stable
 from omsqueeze.matrices import MODE_1, MODE_2, split_sectors
-from omsqueeze.stability import MARGINAL_BAND, analyze_stack
+from omsqueeze.stability import MARGINAL_BAND
 
 from conftest import (
     ORACLE_FACTOR,
@@ -31,6 +31,7 @@ from conftest import (
     PAPER_N_M,
     exchange_symmetric,
     kronecker_lyapunov,
+    kronecker_sector_operator,
     model,
     random_models,
 )
@@ -182,10 +183,10 @@ class TestPrecheck:
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         solve_lyapunov(w, d)
-        assert calls == [("eigvals", (2, 4, 4)), ("solve", (2, 16, 16))]
+        assert calls == [("eigvals", (2, 4, 4)), ("solve", (2, 10, 10))]
         calls.clear()
         solve_lyapunov(np.stack([w] * 5), np.stack([d] * 5))
-        assert calls == [("eigvals", (5, 2, 4, 4)), ("solve", (5, 2, 16, 16))]
+        assert calls == [("eigvals", (5, 2, 4, 4)), ("solve", (5, 2, 10, 10))]
 
     def test_one_unstable_matrix_rejects_the_stack(self, appendix_c_model):
         stable = build_drift(appendix_c_model)
@@ -200,17 +201,18 @@ class TestPrecheck:
             solve_lyapunov(np.stack([w, w]), d)
 
     @pytest.mark.parametrize("a", [2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0])
-    def test_agrees_with_the_sweep_gate_across_the_band(self, appendix_c_model, a):
-        """For the drift -a*I the sweep gate's spectral verdict and the
-        precheck agree; the band edge |abscissa| = MARGINAL_BAND is marginal."""
+    def test_agrees_with_the_sweep_gate_across_the_band(self, a):
+        """For the drift -a*I the sweep gate (solve_stable, its Routh-Hurwitz
+        verdict granted) and the precheck agree; the band edge
+        |abscissa| = MARGINAL_BAND is marginal."""
         w = -a * MARGINAL_BAND * np.eye(8)
-        report = analyze_stack([appendix_c_model], w[None])[0]
+        gate, _ = solve_stable(w[None], np.eye(8)[None], np.array([True]))
         try:
             solve_lyapunov(w, np.eye(8))
             accepted = True
         except UnstableSystemError:
             accepted = False
-        assert accepted == (report.eig_stable and not report.marginal) == (a > 1.0)
+        assert accepted == gate[0] == (a > 1.0)
 
 
 class TestSectorSolve:
@@ -284,13 +286,33 @@ class TestOrlando:
     l_i + l_j of W_s, so its determinant is prod_i 2 l_i * prod_{i<j}
     (l_i + l_j)^2 = 16 s4 h3^2 by Orlando's formula (Gantmacher, The Theory
     of Matrices II, ch. XV): the sector solve is singular exactly where the
-    RHSC minor h3 vanishes."""
+    RHSC minor h3 vanishes.  On symmetric sigma_s only the l_i + l_j with
+    i <= j remain, so the 10x10 operator's determinant is 16 s4 h3."""
 
     def test_determinant_is_16_s4_h3_squared(self):
         for m, report in random_models(20, seed=20251101, stable=True):
-            op = _sector_operator(split_sectors(build_drift(m)))
+            op = kronecker_sector_operator(split_sectors(build_drift(m)))
             expected = 16.0 * report.coefficients.s4 * report.h3**2
             np.testing.assert_allclose(np.linalg.det(op), [expected] * 2, rtol=1e-12)
+
+    def test_symmetric_determinant_is_16_s4_h3(self):
+        for m, report in random_models(20, seed=20251101, stable=True):
+            op = _symmetric_operator(split_sectors(build_drift(m)))
+            expected = 16.0 * report.coefficients.s4 * report.h3
+            np.testing.assert_allclose(np.linalg.det(op), [expected] * 2, rtol=1e-12)
+
+    def test_symmetric_operator_is_the_kronecker_one_on_symmetric_sigma(self):
+        """vec(L sigma_s) from the 16x16 operator, read at i <= j, equals the
+        10x10 operator applied to the upper-triangle entries of sigma_s."""
+        rows, cols = np.triu_indices(4)
+        rng = np.random.default_rng(11)
+        for m, _ in random_models(5, seed=20251102, stable=True):
+            sectors = split_sectors(build_drift(m))
+            sigma = rng.normal(size=(2, 4, 4))
+            sigma = sigma + sigma.swapaxes(-1, -2)
+            full = (kronecker_sector_operator(sectors) @ sigma.reshape(2, 16, 1)).reshape(2, 4, 4)
+            upper = _symmetric_operator(sectors) @ sigma[:, rows, cols, None]
+            np.testing.assert_allclose(upper[..., 0], full[:, rows, cols], rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("gamma", [PAPER_GAMMA_K, 1e-3, 1e-2])
     @pytest.mark.parametrize("g_minus, g_plus", [(0.0, 0.0), (0.3, 0.1), (0.2, 0.25)])
@@ -299,15 +321,16 @@ class TestOrlando:
         operators are singular at Lambda = (kappa + gamma)/2, and well
         conditioned a little inside it."""
 
-        def smallest_singular_ratio(lam):
-            op = _sector_operator(split_sectors(build_drift(
+        def smallest_singular_ratio(build, lam):
+            op = build(split_sectors(build_drift(
                 model(g_minus, g_plus, lam, 0.7, gamma=gamma))))
             values = np.linalg.svd(op, compute_uv=False)
             return values[..., -1] / values[..., 0]
 
         edge = (1.0 + gamma) / 2.0
-        assert np.all(smallest_singular_ratio(edge) <= 1e-14)
-        assert np.all(smallest_singular_ratio(edge - 0.05) >= 1e-6)
+        for build in (kronecker_sector_operator, _symmetric_operator):
+            assert np.all(smallest_singular_ratio(build, edge) <= 1e-14)
+            assert np.all(smallest_singular_ratio(build, edge - 0.05) >= 1e-6)
 
 
 class TestStacked:
@@ -327,6 +350,27 @@ class TestStacked:
         assert stacked.condition_estimate == max(s.condition_estimate for s in singles)
         assert type(stacked.residual_norm) is float
         assert type(stacked.condition_estimate) is float
+
+    def test_gated_stack_equals_analyze_and_per_point_solves(self):
+        """solve_stable passes exactly the drifts `analyze` calls stable and
+        solves them as solve_lyapunov solves each alone, bit for bit, with
+        the per-row residuals and conditions the single solves report."""
+        from omsqueeze.stability import rhsc_check
+
+        models = random_models(40, seed=20251022)
+        assert len({analyze(m).stable for m in models}) == 2
+        w = np.stack([build_drift(m) for m in models])
+        d = np.stack([build_diffusion(m) for m in models])
+        hurwitz = np.array([rhsc_check(m)[3] for m in models])
+        stable, solution = solve_stable(w, d, hurwitz)
+        assert stable.tolist() == [analyze(m).stable for m in models]
+        singles = [solve_lyapunov(w[i], d[i]) for i in np.flatnonzero(stable)]
+        for j, single in enumerate(singles):
+            assert np.array_equal(solution.sigma[j], single.sigma)
+            assert solution.residuals[j] == single.residual_norm
+            assert solution.conditions[j] == single.condition_estimate
+        assert solution.residual_norm == max(s.residual_norm for s in singles)
+        assert solve_stable(w[~stable], d[~stable], hurwitz[~stable])[1] is None
 
     def test_stack_equals_per_point_call_at_the_pump_threshold(self):
         """fig2b at Lambda/kappa = 0.4999: E_N cancels there, so squaring a

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from omsqueeze import (
+    ModelParams,
     StabilityReport,
     analyze,
-    analyze_stack,
     build_drift,
     drift_eigenvalues,
     rhsc_check,
@@ -232,17 +232,19 @@ class TestAnalyze:
 
 class TestAnalyzeStack:
     def test_equals_per_point_reports_bit_for_bit(self):
+        """The routes a sweep runs on a stack of models, the minors of a model
+        with array fields and one eigensolve of the stacked drifts, give each
+        row the numbers `analyze` reports for it alone."""
         models = random_models(40, seed=20251021)  # stable and unstable draws
         assert len({analyze(m).stable for m in models}) == 2
-        w = np.stack([build_drift(m) for m in models])
-        stacked = analyze_stack(models, w)
-        assert len(stacked) == len(models)
-        for m, report in zip(models, stacked):
+        stacked = ModelParams(**{
+            f.name: np.array([getattr(m, f.name) for m in models]) for f in fields(ModelParams)
+        })
+        h1, h2, h3, rhsc_stable = rhsc_check(stacked)
+        spectra = drift_eigenvalues(build_drift(stacked))
+        for i, m in enumerate(models):
             single = analyze(m)
-            for field in fields(StabilityReport):
-                got, want = getattr(report, field.name), getattr(single, field.name)
-                assert type(got) is type(want), field.name
-                if field.name == "eigenvalues":
-                    assert np.array_equal(got, want)
-                else:
-                    assert got == want, field.name
+            assert (h1[i], h2[i], h3[i], rhsc_stable[i]) == (
+                single.h1, single.h2, single.h3, single.rhsc_stable)
+            assert np.array_equal(spectra[i], single.eigenvalues)
+            assert spectra[i].real.max() == single.spectral_abscissa

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from omsqueeze import (
     DirectCouplings,
     EmptySweepError,
-    GridPoint,
     PowerDrive,
     SweepAxis,
     SweepResult,
@@ -19,6 +18,7 @@ from omsqueeze import (
     appendix_c_params,
     apply_overrides,
     as_direct_drive,
+    build_drift,
     coupling_base,
     derive_model,
     figure_preset,
@@ -335,7 +335,7 @@ class TestRunSweep:
         assert after[row].endswith(",nan,0,nan")
 
     def test_gate_failure_inside_a_stack_is_one_error_row(self, tmp_path, monkeypatch):
-        """A stability gate that raises for one model of a stack falls back
+        """A stability gate that raises for one drift of a stack falls back
         to gating (and solving) each point alone."""
         import omsqueeze.sweep as sweep_module
         from omsqueeze.errors import ThresholdError
@@ -343,17 +343,17 @@ class TestRunSweep:
         spec = self._mixed_spec()
         clean = run_sweep(spec)
         marked = 3
-        target = derive_model(apply_overrides(spec.base, spec.assignments()[marked]))
-        original = sweep_module.analyze_stack
+        target = build_drift(derive_model(apply_overrides(spec.base, spec.assignments()[marked])))
+        original = sweep_module.solve_stable
         sizes = []
 
-        def failing_on_marked(models, w=None):
-            sizes.append(len(models))
-            if target in models:
+        def failing_on_marked(w, d, rhsc_stable):
+            sizes.append(len(w))
+            if np.all(w == target, axis=(-2, -1)).any():
                 raise ThresholdError("marked model")
-            return original(models, w)
+            return original(w, d, rhsc_stable)
 
-        monkeypatch.setattr(sweep_module, "analyze_stack", failing_on_marked)
+        monkeypatch.setattr(sweep_module, "solve_stable", failing_on_marked)
         result = run_sweep(spec)
         derived = len(spec.assignments()) - 1  # one point fails in its overrides
         assert sizes == [derived] + [1] * derived
@@ -391,6 +391,96 @@ class TestRunSweep:
             assert left[key] == pytest.approx(right[key], abs=1e-9)
 
 
+class TestColumnarFrontEnd:
+    """The array calls a sweep makes against the scalar calls, row by row."""
+
+    @staticmethod
+    def _same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def _check(self, spec, result, rows):
+        """Models, drifts, validity and stable flags of `rows` from one array
+        call on the whole grid equal the scalar calls' bit for bit; rows the
+        scalar call rejects are masked and carry its error text."""
+        from omsqueeze.params import ModelParams, invalid_rows
+        from omsqueeze.stability import analyze
+
+        base = spec.base
+        if spec.coupling_mode == "direct":
+            base = as_direct_drive(base)
+        columns = spec.columns()
+        size = spec.grid_size()
+        with np.errstate(all="ignore"):
+            params = apply_overrides(base, columns)
+            model = derive_model(params)
+            drift = np.broadcast_to(build_drift(model), (size, 8, 8))
+        bad = np.broadcast_to(invalid_rows(params) | invalid_rows(model), (size,))
+        assignments = spec.assignments()
+        for row in rows:
+            try:
+                single = derive_model(apply_overrides(base, assignments[row]))
+            except Exception as exc:
+                assert bad[row], assignments[row]
+                assert result.errors[row] == f"{type(exc).__name__}: {exc}"
+                assert not result.stable[row]
+                continue
+            assert not bad[row], assignments[row]
+            for field in (f.name for f in fields(ModelParams)):
+                got = np.broadcast_to(getattr(model, field), (size,))[row]
+                if field == "rwa_flagged":
+                    assert bool(got) == getattr(single, field)
+                else:
+                    self._same_bits(got, getattr(single, field))
+            self._same_bits(drift[row], build_drift(single))
+            assert result.stable[row] == analyze(single).stable, assignments[row]
+            assert result.errors[row] is None
+
+    @pytest.mark.parametrize("name", [
+        "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
+        "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig7b",
+    ])
+    def test_every_preset_equals_the_scalar_calls(self, name, figure_results):
+        spec = figure_preset(name)
+        size = spec.grid_size()
+        rows = np.unique(np.r_[np.arange(0, size, max(1, size // 200)), size - 1])
+        self._check(spec, figure_results[name], rows)
+
+    def test_mixed_spec_equals_the_scalar_calls(self):
+        """Stable, unstable and error rows: a negative power, a negative pump
+        gain and a ratio that overflows the couplings to inf."""
+        spec = SweepSpec(
+            base=paper_base(),
+            axes=(
+                SweepAxis.explicit("p_plus_over_p_minus", (-0.5, 0.0, 0.4, 1.1, 1e308)),
+                SweepAxis.explicit("lambda_over_kappa", (-0.1, 0.0, 0.3, 0.6)),
+            ),
+            coupling_mode="powers",
+            name="mixed",
+        )
+        result = run_sweep(spec)
+        assert 0 < sum(e is not None for e in result.errors) < len(result.errors)
+        assert result.stable.any() and not result.stable.all()
+        self._check(spec, result, np.arange(spec.grid_size()))
+
+    def test_one_eigensolve_per_stack(self, monkeypatch):
+        """The stack's sector spectrum serves both the gate and the solve."""
+        import omsqueeze.sweep as sweep_module
+
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(sweep_module, "BATCH", 64)
+        run_sweep(figure_preset("fig7a"))  # 201 stable points
+        assert shapes == [(64, 2, 4, 4)] * 3 + [(9, 2, 4, 4)]
+
+
 class TestFindOptimum:
     def test_constant_metric_tie_breaks_to_first_point(self):
         spec = direct_spec(
@@ -406,11 +496,12 @@ class TestFindOptimum:
         spec = direct_spec(axes=(SweepAxis.explicit("phi_over_pi", (-0.5, 0.0, 0.5)),))
         value = 0.6922790914
         values = (value, math.nextafter(math.nextafter(value, 1.0), 1.0), value - 1.0)
-        grid = tuple(
-            GridPoint(axes={"phi_over_pi": phi}, stable=True, metrics={"en_cc": v})
-            for phi, v in zip((-0.5, 0.0, 0.5), values)
+        result = SweepResult(
+            spec=spec, axes={"phi_over_pi": np.array([-0.5, 0.0, 0.5])},
+            columns={"en_cc": np.array(values)}, stable=np.ones(3, dtype=bool),
+            errors=(None,) * 3,
         )
-        axes, best = find_optimum(SweepResult(spec=spec, grid=grid), "en_cc")
+        axes, best = find_optimum(result, "en_cc")
         assert axes == {"phi_over_pi": -0.5} and best == value
 
     def test_all_unstable_raises(self):
