@@ -88,9 +88,15 @@ class StabilityReport:
         return None
 
     def to_json(self) -> dict:
-        values = (*self.coefficients.as_tuple(), self.h1, self.h2, self.h3)
+        c = self.coefficients
         return {
-            **{k: float(v) for k, v in zip(("s1", "s2", "s3", "s4", "h1", "h2", "h3"), values)},
+            "s1": float(c.s1),
+            "s2": float(c.s2),
+            "s3": float(c.s3),
+            "s4": float(c.s4),
+            "h1": float(self.h1),
+            "h2": float(self.h2),
+            "h3": float(self.h3),
             "s_positive": [bool(flag) for flag in self.s_positive],
             "rhsc_stable": bool(self.rhsc_stable),
             "eigenvalues": [
