@@ -47,9 +47,10 @@ def coupling_coefficients(m: ModelParams) -> tuple[float, float, float, float]:
 def _assemble(rows: list[list], *values) -> np.ndarray:
     """The 8x8 matrix with these entries; if the `values` they are built
     from are arrays, the stack of one such matrix per element."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-    if not shape:
+    shapes = [v.shape for v in values if isinstance(v, np.ndarray)]
+    if not shapes:
         return np.array(rows, dtype=float)
+    shape = np.broadcast_shapes(*shapes)
     entries = [np.broadcast_to(x, shape) for row in rows for x in row]
     return np.stack(entries, axis=-1).reshape(*shape, 8, 8)
 

@@ -30,8 +30,12 @@ RWA_GUARD_FRACTION = 0.3
 
 # Each class lists its validation RULES, (fields, test, message), in the
 # order they are checked; finiteness comes first, since range tests alone
-# let NaN through.
+# let NaN through.  Each test takes a float or an array.
 _FINITE = "{name} must be finite, got {value}"
+
+
+def _finite(value):
+    return abs(value) < math.inf  # False for inf and NaN; cheaper than np.isfinite on a float
 
 
 def _validate(obj) -> None:
@@ -76,10 +80,16 @@ def _per_distinct(fn, *args):
 
 def wrap_phase(phi):
     """Reduce an angle (or each of an array) to the canonical interval (-pi, pi]."""
-    r = np.array(np.fmod(phi, 2.0 * math.pi))
-    np.subtract(r, 2.0 * math.pi, out=r, where=r > math.pi)
-    np.add(r, 2.0 * math.pi, out=r, where=r <= -math.pi)
-    return r.item() if r.ndim == 0 else r
+    if isinstance(phi, np.ndarray):  # the same steps element by element
+        r = np.fmod(phi, 2.0 * math.pi)
+        return np.where(r > math.pi, r - 2.0 * math.pi,
+                        np.where(r <= -math.pi, r + 2.0 * math.pi, r))
+    r = math.fmod(phi, 2.0 * math.pi)
+    if r > math.pi:
+        r -= 2.0 * math.pi
+    elif r <= -math.pi:
+        r += 2.0 * math.pi
+    return r
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class PowerDrive:
     P_plus: float
 
     RULES = (
-        (("P_minus", "P_plus"), np.isfinite, _FINITE),
+        (("P_minus", "P_plus"), _finite, _FINITE),
         (("P_minus", "P_plus"), lambda v: v >= 0, "drive powers must be >= 0"),
     )
 
@@ -106,7 +116,7 @@ class DirectCouplings:
     G_plus: float
 
     RULES = (
-        (("G_minus", "G_plus"), np.isfinite, _FINITE),
+        (("G_minus", "G_plus"), _finite, _FINITE),
         (("G_minus", "G_plus"), lambda v: v >= 0, "effective couplings must be >= 0"),
     )
 
@@ -134,7 +144,7 @@ class PhysicalParams:
 
     RULES = (
         (("omega_m", "omega_c", "kappa", "gamma", "g", "lambda_pa", "phi", "temperature"),
-         np.isfinite, _FINITE),
+         _finite, _FINITE),
         (("omega_m", "omega_c", "kappa", "gamma", "g"), lambda v: v > 0, "{name} must be > 0"),
         (("lambda_pa",), lambda v: v >= 0, "lambda_pa must be >= 0"),
         (("temperature",), lambda v: v >= 0, "temperature must be >= 0"),
@@ -199,7 +209,7 @@ class ModelParams:
 
     RULES = (
         (("G_minus", "G_plus", "lambda_pa", "phi", "gamma", "n_c", "n_m", "omega_m", "kappa"),
-         np.isfinite, _FINITE),
+         _finite, _FINITE),
         (("G_minus", "G_plus", "lambda_pa", "gamma", "n_c", "n_m"), lambda v: v >= 0,
          "{name} must be >= 0"),
     )
@@ -304,8 +314,8 @@ def derive_model(params: PhysicalParams) -> ModelParams:
     g_plus_k = g_plus / kappa
     lambda_k = params.lambda_pa / kappa
     n_c, n_m = _per_distinct(_occupations, params.omega_c, params.omega_m, params.temperature)
-    fastest = np.maximum(np.maximum(g_minus_k, g_plus_k), np.maximum(lambda_k, 1.0))
-    flagged = fastest > RWA_GUARD_FRACTION * omega_m_k
+    limit = RWA_GUARD_FRACTION * omega_m_k  # flagged when any rate, or kappa, exceeds it
+    flagged = (g_minus_k > limit) | (g_plus_k > limit) | (lambda_k > limit) | (1.0 > limit)
     return ModelParams(
         G_minus=g_minus_k,
         G_plus=g_plus_k,
@@ -316,5 +326,5 @@ def derive_model(params: PhysicalParams) -> ModelParams:
         n_m=n_m,
         omega_m=omega_m_k,
         kappa=1.0,
-        rwa_flagged=flagged if np.ndim(flagged) else bool(flagged),
+        rwa_flagged=flagged,
     )

@@ -12,7 +12,6 @@ both for one model; a sweep pairs the minors of a model with array fields
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +135,8 @@ def _hurwitz(c: RhscCoefficients) -> tuple[float, float, float, bool]:
     h1 = c.s4
     h2 = c.s2 * c.s3 - c.s1 * h1
     h3 = c.s1 * h2 - c.s3 * c.s3
-    verdict = functools.reduce(np.logical_and, [x > 0 for x in (*c.as_tuple(), h1, h2, h3)])
-    return h1, h2, h3, verdict if np.ndim(verdict) else bool(verdict)
+    verdict = (c.s1 > 0) & (c.s2 > 0) & (c.s3 > 0) & (c.s4 > 0) & (h1 > 0) & (h2 > 0) & (h3 > 0)
+    return h1, h2, h3, verdict
 
 
 def drift_eigenvalues(w: np.ndarray) -> np.ndarray:

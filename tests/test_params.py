@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -164,6 +165,14 @@ class TestValidation:
         assert wrap_phase(-math.pi) == pytest.approx(math.pi)
         assert wrap_phase(0.5) == 0.5
         assert -math.pi < wrap_phase(123.456) <= math.pi
+
+    def test_array_phases_wrap_bit_for_bit_as_floats(self):
+        edges = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -3 * math.pi, 1e300,
+                 math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0)]
+        phases = np.r_[edges, np.random.default_rng(3).uniform(-40.0, 40.0, 2000)]
+        wrapped = wrap_phase(phases)
+        singles = np.array([wrap_phase(float(phi)) for phi in phases])
+        assert np.array_equal(wrapped.view(np.uint64), singles.view(np.uint64))
 
     def test_rejects_nonpositive_rates(self):
         good = paper_base().to_json()

@@ -28,6 +28,8 @@ from omsqueeze import (
 )
 from omsqueeze.sweep import _NORMALIZED_ORDER, _RAW_FIELDS, OVERRIDE_KEYS
 
+from golden_figures import GRID_NAMES
+
 
 def direct_spec(**kwargs):
     defaults = dict(
@@ -437,10 +439,7 @@ class TestColumnarFrontEnd:
             assert result.stable[row] == analyze(single).stable, assignments[row]
             assert result.errors[row] is None
 
-    @pytest.mark.parametrize("name", [
-        "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
-        "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig7b",
-    ])
+    @pytest.mark.parametrize("name", GRID_NAMES)
     def test_every_preset_equals_the_scalar_calls(self, name, figure_results):
         spec = figure_preset(name)
         size = spec.grid_size()
