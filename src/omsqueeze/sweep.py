@@ -346,10 +346,13 @@ def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarra
                 params = apply_overrides(base, {n: v[rows] for n, v in axes.items()})
                 model = derive_model(params)
                 keep = ~(invalid_rows(params) | invalid_rows(model))
+            h1, h2, h3, hurwitz = rhsc_check(model)
+            # a row whose minors overflow is rerun alone, where the square raises
+            keep = keep & np.isfinite(h1) & np.isfinite(h2) & np.isfinite(h3)
             # a quantity that no swept axis reaches is one value for every row
             w = np.broadcast_to(build_drift(model), (keep.size, 8, 8))[keep]
             d = np.broadcast_to(build_diffusion(model), (keep.size, 8, 8))[keep]
-            hurwitz = np.broadcast_to(rhsc_check(model)[3], keep.shape)[keep]
+            hurwitz = np.broadcast_to(hurwitz, keep.shape)[keep]
         for row in rows[~keep, None]:
             _evaluate(base, axes, row, out)
         rows = rows[keep]

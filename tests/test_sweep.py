@@ -262,6 +262,14 @@ class TestRunSweep:
         assert result.grid[1].error is not None
         assert not result.grid[1].stable
 
+    def test_overflowing_minors_are_error_rows(self):
+        """A coupling whose square overflows a float is an error row with the
+        text it raises when evaluated alone; its stack is unaffected."""
+        spec = direct_spec(axes=(SweepAxis.explicit("g_minus_over_kappa", (0.2, 1e200, 0.4)),))
+        result = run_sweep(spec)
+        assert result.errors == (None, "OverflowError: (34, 'Numerical result out of range')", None)
+        assert result.stable.tolist() == [True, False, True]
+
     def test_deterministic_csv_bytes(self, tmp_path):
         spec = direct_spec(
             axes=(SweepAxis.linear("g_plus_over_g_minus", 0.0, 0.9, 7),),
