@@ -7,7 +7,6 @@ import pytest
 
 from omsqueeze import (
     ModelParams,
-    StabilityReport,
     analyze,
     build_drift,
     drift_eigenvalues,
