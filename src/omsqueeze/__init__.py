@@ -21,7 +21,6 @@ from .errors import (
 from .lyapunov import LyapunovSolution, residual, solve_lyapunov
 from .matrices import (
     QUADRATURES,
-    VACUUM_VARIANCE,
     build_diffusion,
     build_drift,
     coupling_coefficients,
@@ -33,17 +32,14 @@ from .matrices import (
 from .metrics import (
     COHERENT_BOUND,
     METRIC_COLUMNS,
-    THREE_DB,
     CollectiveVariances,
     NegativityResult,
-    SqueezingResult,
     collective_variances,
     log_negativity,
     metric_row,
     physicality_check,
     single_mode_variances,
     squeezing_db,
-    squeezing_result,
 )
 from .params import (
     HBAR,

@@ -406,14 +406,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UnstableSystemError as exc:
-        _fail(str(exc))
-        return 3
-    except EmptySweepError as exc:
+    except (UnstableSystemError, EmptySweepError) as exc:
         _fail(str(exc))
         return 3
     except (
         ThresholdError,
+        OverflowError,
         StiffnessError,
         DivergenceError,
         ConvergenceError,

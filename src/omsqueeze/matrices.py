@@ -22,12 +22,12 @@ import numpy as np
 from .params import ModelParams
 
 QUADRATURES = ("x_c1", "y_c1", "x_c2", "y_c2", "x_d1", "y_d1", "x_d2", "y_d2")
-VACUUM_VARIANCE = 0.5
 
 # Quadratures of each cavity-mechanics pair, in the order of a 4x4 sector.
 MODE_1 = np.array([0, 1, 4, 5])
 MODE_2 = np.array([2, 3, 6, 7])
 _SECTOR_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1, 1, 1)  # A + B, A - B
+_0 = None  # a structural zero of the drift or diffusion
 
 
 def coupling_coefficients(m: ModelParams) -> tuple[float, float, float, float]:
@@ -45,14 +45,16 @@ def coupling_coefficients(m: ModelParams) -> tuple[float, float, float, float]:
 
 
 def _assemble(rows: list[list], *values) -> np.ndarray:
-    """The 8x8 matrix with these entries; if the `values` they are built
-    from are arrays, the stack of one such matrix per element."""
+    """The 8x8 matrix with these entries, or the stack of one per element if
+    the `values` they are built from are arrays.  Entries other than the
+    structural zeros `_0` are written one by one and keep their bits."""
     shapes = [v.shape for v in values if isinstance(v, np.ndarray)]
-    if not shapes:
-        return np.array(rows, dtype=float)
-    shape = np.broadcast_shapes(*shapes)
-    entries = [np.broadcast_to(x, shape) for row in rows for x in row]
-    return np.stack(entries, axis=-1).reshape(*shape, 8, 8)
+    out = np.zeros(np.broadcast_shapes(*shapes) + (8, 8))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x is not _0:
+                out[..., i, j] = x
+    return out
 
 
 def build_drift(m: ModelParams) -> np.ndarray:
@@ -63,14 +65,14 @@ def build_drift(m: ModelParams) -> np.ndarray:
     g2 = -m.gamma / 2.0
     return _assemble(
         [
-            [k2, 0., c, s, 0., -a, 0., 0.],
-            [0., k2, s, -c, b, 0., 0., 0.],
-            [c, s, k2, 0., 0., 0., 0., -a],
-            [s, -c, 0., k2, 0., 0., b, 0.],
-            [0., -a, 0., 0., g2, 0., 0., 0.],
-            [b, 0., 0., 0., 0., g2, 0., 0.],
-            [0., 0., 0., -a, 0., 0., g2, 0.],
-            [0., 0., b, 0., 0., 0., 0., g2],
+            [k2, _0, c, s, _0, -a, _0, _0],
+            [_0, k2, s, -c, b, _0, _0, _0],
+            [c, s, k2, _0, _0, _0, _0, -a],
+            [s, -c, _0, k2, _0, _0, b, _0],
+            [_0, -a, _0, _0, g2, _0, _0, _0],
+            [b, _0, _0, _0, _0, g2, _0, _0],
+            [_0, _0, _0, -a, _0, _0, g2, _0],
+            [_0, _0, b, _0, _0, _0, _0, g2],
         ],
         a, b, c, s, k2, g2,
     )
@@ -121,7 +123,7 @@ def build_diffusion(m: ModelParams) -> np.ndarray:
     mech = m.gamma * (m.n_m + 0.5)
     diagonal = [cav] * 4 + [mech] * 4
     return _assemble(
-        [[x if i == j else 0.0 for j in range(8)] for i, x in enumerate(diagonal)], cav, mech
+        [[x if i == j else _0 for j in range(8)] for i, x in enumerate(diagonal)], cav, mech
     )
 
 

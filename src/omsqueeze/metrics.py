@@ -18,7 +18,6 @@ from .errors import PhysicalityError
 from .matrices import QUADRATURES, require_symmetric, symplectic_form
 
 TWO_MODE_SHOT_NOISE = 1.0
-THREE_DB = 3.0103  # -10 log10(1/2), the conventional squeezing threshold
 COHERENT_BOUND = math.log(2.0)
 
 PAIR_INDICES = {"cc": (0, 1, 2, 3), "mm": (4, 5, 6, 7)}
@@ -37,14 +36,6 @@ class CollectiveVariances:
 
 
 @dataclass(frozen=True)
-class SqueezingResult:
-    quadrature: str  # x_c, y_c, x_d or y_d
-    variance: float
-    db: float
-    beats_3db: bool
-
-
-@dataclass(frozen=True)
 class NegativityResult:
     pair: str  # cc (cavity modes) or mm (mechanical modes)
     nu_tilde_minus: float
@@ -56,16 +47,25 @@ def _plain(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def collective_variances(sigma: np.ndarray) -> CollectiveVariances:
-    """Variances of the four collective (sum) quadratures."""
+def _symmetric(sigma: np.ndarray) -> np.ndarray:
+    """sigma as a float array, once `require_symmetric` has passed it."""
     sigma = np.asarray(sigma, dtype=float)
     require_symmetric(sigma)
-    return CollectiveVariances(
-        v_xc=_plain(sigma[..., 0, 0] + sigma[..., 2, 2] + 2 * sigma[..., 0, 2]),
-        v_yc=_plain(sigma[..., 1, 1] + sigma[..., 3, 3] + 2 * sigma[..., 1, 3]),
-        v_xd=_plain(sigma[..., 4, 4] + sigma[..., 6, 6] + 2 * sigma[..., 4, 6]),
-        v_yd=_plain(sigma[..., 5, 5] + sigma[..., 7, 7] + 2 * sigma[..., 5, 7]),
-    )
+    return sigma
+
+
+def collective_variances(sigma: np.ndarray) -> CollectiveVariances:
+    """Variances of the four collective (sum) quadratures."""
+    return CollectiveVariances(**_collective_variances(_symmetric(sigma)))
+
+
+def _collective_variances(sigma: np.ndarray) -> dict[str, float]:
+    return {
+        "v_xc": _plain(sigma[..., 0, 0] + sigma[..., 2, 2] + 2 * sigma[..., 0, 2]),
+        "v_yc": _plain(sigma[..., 1, 1] + sigma[..., 3, 3] + 2 * sigma[..., 1, 3]),
+        "v_xd": _plain(sigma[..., 4, 4] + sigma[..., 6, 6] + 2 * sigma[..., 4, 6]),
+        "v_yd": _plain(sigma[..., 5, 5] + sigma[..., 7, 7] + 2 * sigma[..., 5, 7]),
+    }
 
 
 def squeezing_db(variance: float) -> float:
@@ -76,17 +76,9 @@ def squeezing_db(variance: float) -> float:
     return _plain(-10.0 * np.log10(variance / TWO_MODE_SHOT_NOISE))
 
 
-def squeezing_result(quadrature: str, variance: float) -> SqueezingResult:
-    db = squeezing_db(variance)
-    return SqueezingResult(
-        quadrature=quadrature, variance=variance, db=db, beats_3db=db > THREE_DB
-    )
-
-
 def single_mode_variances(sigma: np.ndarray) -> dict[str, float]:
     """Diagonal variances labeled by quadrature; < 1/2 means squeezed."""
-    sigma = np.asarray(sigma, dtype=float)
-    require_symmetric(sigma)
+    sigma = _symmetric(sigma)
     return {label: float(sigma[i, i]) for i, label in enumerate(QUADRATURES)}
 
 
@@ -104,8 +96,10 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
     """
     if pair not in PAIR_INDICES:
         raise ValueError(f"pair must be one of {sorted(PAIR_INDICES)}")
-    sigma = np.asarray(sigma, dtype=float)
-    require_symmetric(sigma)
+    return _log_negativity(_symmetric(sigma), pair)
+
+
+def _log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
     idx = np.asarray(PAIR_INDICES[pair])
     block = sigma[..., idx[:, None], idx]
 
@@ -141,26 +135,36 @@ def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
 
 
 def physicality_check(sigma: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff sigma + (i/2) Omega is positive semidefinite (within tol)."""
-    sigma = np.asarray(sigma, dtype=float)
-    require_symmetric(sigma)
-    h = sigma + 0.5j * symplectic_form()
-    return _plain(np.min(np.linalg.eigvalsh(h), axis=-1) >= -tol)
+    """True iff sigma + (i/2) Omega is positive semidefinite within tol:
+    all eight pivots of an LDL^H elimination of sigma + (i/2) Omega + tol I,
+    vectorized over a stack, are > 0.  That is "smallest eigenvalue >= -tol"
+    except at exact equality, which counts as unphysical."""
+    return _plain(_physical(_symmetric(sigma), tol))
+
+
+def _physical(sigma: np.ndarray, tol: float) -> np.ndarray:
+    h = sigma + (0.5j * symplectic_form() + tol * np.eye(8))
+    physical = np.ones(h.shape[:-2], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: a pivot of -inf or NaN
+        for _ in range(8):
+            pivot = h[..., 0, 0].real
+            physical &= pivot > 0.0
+            scale = np.where(physical, pivot, 1.0)[..., None, None]  # never divide by a pivot <= 0
+            h = h[..., 1:, 1:] - h[..., 1:, :1] * (h[..., :1, 1:] / scale)
+    return physical
 
 
 def metric_row(sigma: np.ndarray) -> dict[str, float]:
     """The canonical export row: all collective variances, headline dBs,
     both log negativities, and the physicality flag (1.0/0.0).  A stack
     (..., 8, 8) gives one array per column; a check failing anywhere raises."""
-    v = collective_variances(sigma)
+    sigma = _symmetric(sigma)
+    v = _collective_variances(sigma)
     return {
-        "v_xc": v.v_xc,
-        "v_yc": v.v_yc,
-        "v_xd": v.v_xd,
-        "v_yd": v.v_yd,
-        "s2_c_db": squeezing_db(v.v_yc),
-        "s2_m_db": squeezing_db(v.v_xd),
-        "en_cc": log_negativity(sigma, "cc").e_n,
-        "en_mm": log_negativity(sigma, "mm").e_n,
-        "physical": _plain(np.where(physicality_check(sigma), 1.0, 0.0)),
+        **v,
+        "s2_c_db": squeezing_db(v["v_yc"]),
+        "s2_m_db": squeezing_db(v["v_xd"]),
+        "en_cc": _log_negativity(sigma, "cc").e_n,
+        "en_mm": _log_negativity(sigma, "mm").e_n,
+        "physical": _plain(np.where(_physical(sigma, 1e-9), 1.0, 0.0)),
     }

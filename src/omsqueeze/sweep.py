@@ -313,18 +313,17 @@ class SweepResult:
         }
 
     def write_csv(self, path) -> None:
-        """Write the rows as CSV, formatting the columns BATCH rows at a time."""
+        """Write the rows as CSV, BATCH rows at a time, one %-format per row."""
         axis_names = list(self.axes)
         columns = axis_names + list(self.spec.outputs) + ["stable", "physical"]
-        floats = [self.axes[n] for n in axis_names] + [self.columns[n] for n in self.spec.outputs]
+        arrays = [self.axes[n] for n in axis_names] + [self.columns[n] for n in self.spec.outputs]
+        arrays += [self.stable, self.columns["physical"]]
+        row_format = ",".join(["%.12g"] * (len(arrays) - 2) + ["%d", "%.12g"]) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")
             for start in range(0, len(self.stable), BATCH):
-                rows = slice(start, start + BATCH)
-                cells = [[f"{x:.12g}" for x in values[rows].tolist()] for values in floats]
-                cells.append(["1" if flag else "0" for flag in self.stable[rows].tolist()])
-                cells.append([f"{x:.12g}" for x in self.columns["physical"][rows].tolist()])
-                fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+                cells = (values[start:start + BATCH].tolist() for values in arrays)
+                fh.writelines(row_format % row for row in zip(*cells))
 
 
 def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarray,

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from omsqueeze import (
     symplectic_form,
 )
 from omsqueeze.matrices import MODE_1, MODE_2
-from omsqueeze.metrics import PAIR_INDICES
+from omsqueeze.metrics import PAIR_INDICES, squeezing_db
 
 settings.register_profile(
     "ci",
@@ -30,6 +31,7 @@ settings.load_profile("ci")
 PAPER_GAMMA_K = 6.67e-6
 PAPER_N_M = 57.38093736602090
 PAPER_N_C = 1.034917672599024e-13
+THREE_DB = 3.0103  # -10 log10(1/2), the conventional squeezing threshold
 # Solver against an oracle (the Kronecker solve, Bartels-Stewart): relative
 # Frobenius error within this many machine epsilons per unit of
 # `condition_estimate`.
@@ -181,6 +183,28 @@ def assert_negativity_follows_vidal_werner(sigma):
         block = np.asarray(sigma)[np.ix_(idx, idx)]
         bound = 10.0 * eps * (np.linalg.norm(block) / nu.min()) ** 2
         assert abs(log_negativity(sigma, pair).e_n - expected) <= bound, pair
+
+
+@dataclass(frozen=True)
+class SqueezingResult:
+    quadrature: str  # x_c, y_c, x_d or y_d
+    variance: float
+    db: float
+    beats_3db: bool
+
+
+def squeezing_result(quadrature: str, variance: float) -> SqueezingResult:
+    db = squeezing_db(variance)
+    return SqueezingResult(
+        quadrature=quadrature, variance=variance, db=db, beats_3db=db > THREE_DB
+    )
+
+
+def min_physicality_eigenvalue(sigma):
+    """Smallest eigenvalue of sigma + (i/2) Omega (one per matrix of a
+    stack), from a complex Hermitian eigensolve: the oracle for
+    `physicality_check`, which is "this >= -tol" except at exact equality."""
+    return np.linalg.eigvalsh(np.asarray(sigma) + 0.5j * symplectic_form())[..., 0]
 
 
 @pytest.fixture(scope="session")

@@ -394,6 +394,18 @@ class TestUsageErrors:
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+class TestNumericalFailures:
+    @pytest.mark.parametrize("command", ["stability", "steady", "evolve"])
+    def test_overflowing_couplings_exit_4_with_one_line(self, capsys, command):
+        """The squared Routh-Hurwitz minors overflow; a sweep keeps the same
+        failure as an "OverflowError: ..." error row."""
+        rc = main([command, "--preset", "appendixC", "--set", "g_minus_over_kappa=1e200"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: (34, 'Numerical result out of range')\n"
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_every_flag_listed(self, command, monkeypatch, capsys):

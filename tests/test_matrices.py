@@ -109,6 +109,27 @@ class TestBuildDrift:
         np.testing.assert_array_equal(build_drift(hot), build_drift(cold))
 
 
+class TestStackedAssembly:
+    def test_stack_equals_the_scalar_calls_bit_for_bit(self):
+        """Row by row, zero signs included: G+ = G- puts -a = -0.0 in the
+        drift, and Lambda = 0 at a negative phase makes s = -0.0."""
+        rng = np.random.default_rng(20251019)
+        g_minus = np.concatenate([[0.0, 0.3, 0.25], rng.uniform(0.0, 0.6, 5)])
+        g_plus = np.concatenate([[0.0, 0.3, 0.25], rng.uniform(0.0, 0.6, 5)])
+        lam = np.concatenate([[0.0, 0.0, 0.4], rng.uniform(0.0, 0.5, 5)])
+        phi = np.concatenate([[-1.0, -2.5, math.pi / 2], rng.uniform(-math.pi, math.pi, 5)])
+        n_c = np.concatenate([[0.0, 0.1, 1.0], rng.uniform(0.0, 2.0, 5)])
+        stacked = model(g_minus, g_plus, lam, phi, n_c=n_c)
+        w, d = build_drift(stacked), build_diffusion(stacked)
+        assert w.shape == d.shape == (8, 8, 8)
+        assert np.signbit(w[:3, 0, 5]).all() and np.signbit(w[:2, 0, 3]).all()
+        for i in range(len(g_minus)):
+            single = model(g_minus[i], g_plus[i], lam[i], phi[i], n_c=n_c[i])
+            for row, scalar in ((w[i], build_drift(single)), (d[i], build_diffusion(single))):
+                assert np.array_equal(row, scalar)
+                assert np.array_equal(np.signbit(row), np.signbit(scalar))
+
+
 class TestSplitSectors:
     @given(
         st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(0.0, 0.49),

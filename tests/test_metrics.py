@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from omsqueeze import (
     COHERENT_BOUND,
     METRIC_COLUMNS,
-    THREE_DB,
     PhysicalityError,
     apply_overrides,
     build_diffusion,
@@ -22,14 +21,16 @@ from omsqueeze import (
     single_mode_variances,
     solve_lyapunov,
     squeezing_db,
-    squeezing_result,
 )
 
 from conftest import (
     PAPER_N_M,
+    THREE_DB,
     assert_negativity_follows_vidal_werner,
+    min_physicality_eigenvalue,
     model,
     random_models,
+    squeezing_result,
     vidal_werner_negativity,
 )
 
@@ -248,6 +249,52 @@ class TestPhysicality:
             v = collective_variances(sigma)
             assert v.v_xc * v.v_yc >= 1.0 - 1e-9
             assert v.v_xd * v.v_yd >= 1.0 - 1e-9
+
+
+def near_the_edge(seed, scale, offset, tol=1e-9):
+    """A random symmetric sigma, shifted so that the smallest eigenvalue of
+    sigma + (i/2) Omega lies `offset` above -tol."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(8, 8))
+    sigma = scale * (x + x.T) / 2.0
+    return sigma + (offset - tol - min_physicality_eigenvalue(sigma)) * np.eye(8)
+
+
+class TestPhysicalityOracle:
+    """`physicality_check` (LDL^H pivots) against the eigensolve oracle."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.01, 100.0),
+        st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1.0, 1.0)),
+    )
+    def test_agrees_with_the_eigenvalue_oracle(self, seed, scale, offset):
+        sigma = near_the_edge(seed, scale, offset)
+        smallest = min_physicality_eigenvalue(sigma)
+        if abs(smallest + 1e-9) > 1e-12:
+            assert physicality_check(sigma) == (smallest >= -1e-9)
+
+    def test_stack_gives_the_per_matrix_answers(self):
+        offsets = np.linspace(-1e-8, 1e-8, 41)
+        stack = np.stack([near_the_edge(i, 1.0 + i, x) for i, x in enumerate(offsets)])
+        stacked = physicality_check(stack)
+        single = [physicality_check(sigma) for sigma in stack]
+        assert all(type(flag) is bool for flag in single)
+        assert stacked.dtype == bool and list(stacked) == single
+        smallest = min_physicality_eigenvalue(stack)
+        clear = np.abs(smallest + 1e-9) > 1e-12
+        assert np.array_equal(stacked[clear], (smallest >= -1e-9)[clear])
+        assert stacked.any() and not stacked.all()
+
+    def test_failing_pivots_do_not_warn(self):
+        """A zero, a negative and an overflowing pivot in one stack; the
+        suite turns any numpy warning into a failure."""
+        zero = VACUUM.copy()
+        zero[0, 0] = -1e-9  # its first pivot is exactly 0
+        huge = VACUUM.copy()
+        huge[0, 2] = huge[2, 0] = 1e300
+        stack = np.stack([zero, -np.eye(8), huge, VACUUM])
+        assert list(physicality_check(stack)) == [False, False, False, True]
 
 
 class TestMetricRow:
