@@ -311,7 +311,7 @@ def cmd_optimum(args) -> int:
 def cmd_metrics(args) -> int:
     with open(args.cm, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "covariance" in payload:
+    if isinstance(payload, dict) and "covariance" in payload:
         payload = payload["covariance"]
     sigma = covariance_from_json(payload)
     metrics = metric_row(sigma)

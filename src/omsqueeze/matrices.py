@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, expect_json
 
 QUADRATURES = ("x_c1", "y_c1", "x_c2", "y_c2", "x_d1", "y_d1", "x_d2", "y_d2")
 
@@ -158,11 +158,13 @@ def covariance_to_json(sigma: np.ndarray) -> dict:
 
 
 def covariance_from_json(obj: dict) -> np.ndarray:
-    if list(obj.get("basis", [])) != list(QUADRATURES):
+    if expect_json(obj, dict, "a covariance").get("basis") != list(QUADRATURES):
         raise ValueError(f"covariance basis must be {list(QUADRATURES)}")
-    flat = np.asarray(obj["sigma"], dtype=float)
-    if flat.shape != (64,):
+    sigma = obj.get("sigma")
+    numbers = type(sigma) is list and all(type(v) in (int, float) for v in sigma)
+    if not numbers or len(sigma) != 64:  # bool, str, list and null are not numbers
         raise ValueError("covariance payload must hold exactly 64 numbers")
+    flat = np.array(sigma, dtype=float)
     if not np.all(np.isfinite(flat)):
         raise ValueError("covariance entries must be finite")
     return flat.reshape(8, 8)

@@ -6,8 +6,8 @@ field strengths into steady cavity amplitudes, amplitudes into effective
 two-tone coupling rates, and bath temperatures into mean occupations.
 
 Fields may also be float arrays, one element per grid row: the reductions
-then give each row the bits of the scalar call, and validation, which a
-scalar instance raises on, becomes the row mask `invalid_rows`.
+then give each row the bits of the scalar call, and validation raises if
+any row breaks a rule, so no instance ever holds an invalid row.
 """
 
 from __future__ import annotations
@@ -39,42 +39,40 @@ def _finite(value):
 
 
 def _validate(obj) -> None:
-    """Raise ValueError for the first rule a scalar field breaks; array
-    fields are left to `invalid_rows`."""
+    """Raise ValueError for the first rule a field breaks, in any row."""
     for names, test, message in obj.RULES:
         for name in names:
             value = getattr(obj, name)
-            if not isinstance(value, np.ndarray) and not test(value):
+            ok = test(value)
+            if ok is not True and not np.all(ok):
                 raise ValueError(message.format(name=name, value=value))
 
 
-def invalid_rows(obj) -> np.ndarray:
-    """Mask of the rows of `obj` (and of its drive) that break a rule."""
-    bad = np.zeros((), dtype=bool)
-    for names, test, _ in obj.RULES:
-        for name in names:
-            bad = bad | ~np.asarray(test(getattr(obj, name)))
-    drive = getattr(obj, "drive", None)
-    return bad if drive is None else bad | invalid_rows(drive)
+# JSON names of the types json.load returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def expect_json(value, kind: type, what: str):
+    """`value` if it is a `kind` (dict, list or str); else a ValueError
+    naming `what` and the JSON type found, so a malformed file is a usage
+    error instead of a TypeError deeper down."""
+    if not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {got}")
+    return value
 
 
 def _per_distinct(fn, *args):
     """The pair fn(*args) returns, as a pair of arrays when an argument is
     an array: fn runs once per distinct row of the broadcast arguments, on
-    plain floats, so every row gets the scalar call's bits; a row it rejects
-    with ValueError gets NaN, which `invalid_rows` of the model flags."""
+    plain floats, so every row gets the scalar call's bits."""
     if not any(isinstance(arg, np.ndarray) for arg in args):
         return fn(*args)
     columns = np.broadcast_arrays(*args)
     table = np.stack([c.reshape(-1) for c in columns], axis=-1)
     distinct, inverse = np.unique(table, axis=0, return_inverse=True)
-    results = []
-    for row in distinct.tolist():
-        try:
-            results.append(fn(*row))
-        except ValueError:
-            results.append((math.nan, math.nan))
-    values = np.array(results)[inverse.reshape(-1)]
+    values = np.array([fn(*row) for row in distinct.tolist()])[inverse.reshape(-1)]
     return tuple(v.reshape(columns[0].shape) for v in values.T)
 
 
@@ -159,13 +157,14 @@ class PhysicalParams:
 
     @staticmethod
     def from_json(obj: dict) -> "PhysicalParams":
-        values = dict(obj)
+        values = dict(expect_json(obj, dict, "parameters"))
         if "drive" in values:
             drive = values.pop("drive")
         elif "drive_spec" in values:  # accepted alias
             drive = values.pop("drive_spec")
         else:
             raise ValueError("missing drive specification")
+        expect_json(drive, dict, "drive")
         kinds = {frozenset(f.name for f in fields(kind)): kind
                  for kind in (PowerDrive, DirectCouplings)}
         kind = kinds.get(frozenset(drive))

@@ -12,7 +12,6 @@ both for one model; a sweep pairs the minors of a model with array fields
 
 from __future__ import annotations
 
-import errno
 import math
 from dataclasses import dataclass
 
@@ -110,26 +109,30 @@ class StabilityReport:
         }
 
 
-def _square(x):
+def _square(x, name):
     """x * x.  numpy squares an array by multiplying, and a float's pow()
     can differ from that in the last bit, so squares are products: a row
-    of a stacked model gets the scalar call's bits.  A float square that
-    overflows raises OverflowError, as float ** does; an array's gives inf."""
+    of a stacked model gets the scalar call's bits.  A square of a finite
+    value that overflows raises OverflowError naming `name` and the value,
+    for a float as for an array."""
     square = x * x
-    if not isinstance(square, np.ndarray) and math.isinf(square) and not math.isinf(x):
-        raise OverflowError(errno.ERANGE, "Numerical result out of range")
+    overflow = (square == math.inf) & (abs(x) < math.inf)
+    if overflow is not False and np.any(overflow):
+        value = float(np.extract(overflow, x)[0])
+        raise OverflowError(f"the square of {name} = {value!r} overflows a float")
     return square
 
 
 def rhsc_coefficients(m: ModelParams) -> RhscCoefficients:
     """Closed-form quartic coefficients; independent of the pump phase."""
     kap, gam = m.kappa, m.gamma
-    lam2 = _square(m.lambda_pa)
-    dg2 = _square(m.G_minus) - _square(m.G_plus)
+    lam2 = _square(m.lambda_pa, "lambda_pa")
+    dg2 = _square(m.G_minus, "G_minus") - _square(m.G_plus, "G_plus")
+    gam2, kap2 = _square(gam, "gamma"), _square(kap, "kappa")
     s1 = gam + kap
-    s2 = gam * kap + 0.25 * (_square(gam) + _square(kap) - 4.0 * lam2) + 2.0 * dg2
+    s2 = gam * kap + 0.25 * (gam2 + kap2 - 4.0 * lam2) + 2.0 * dg2
     s3 = (gam + kap) * (0.25 * gam * kap + dg2) - gam * lam2
-    s4 = dg2 * (dg2 + 0.5 * gam * kap) + _square(gam) / 16.0 * (_square(kap) - 4.0 * lam2)
+    s4 = dg2 * (dg2 + 0.5 * gam * kap) + gam2 / 16.0 * (kap2 - 4.0 * lam2)
     return RhscCoefficients(s1, s2, s3, s4)
 
 
@@ -142,7 +145,7 @@ def rhsc_check(m: ModelParams) -> tuple[float, float, float, bool]:
 def _hurwitz(c: RhscCoefficients) -> tuple[float, float, float, bool]:
     h1 = c.s4
     h2 = c.s2 * c.s3 - c.s1 * h1
-    h3 = c.s1 * h2 - _square(c.s3)
+    h3 = c.s1 * h2 - _square(c.s3, "s3")
     verdict = (c.s1 > 0) & (c.s2 > 0) & (c.s3 > 0) & (c.s4 > 0) & (h1 > 0) & (h2 > 0) & (h3 > 0)
     return h1, h2, h3, verdict
 

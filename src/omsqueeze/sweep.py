@@ -3,12 +3,13 @@
 The grid is evaluated in row-major stacks of `BATCH` points, each as
 columns: the axis values of the stack go through `apply_overrides`,
 `derive_model`, `build_drift` and `build_diffusion` as arrays, with the
-bits of the scalar calls, and rows that fail validation come out as a
-mask.  `lyapunov.solve_stable` then eigensolves the stack's sectors once,
-gates every row by that spectrum and the Routh-Hurwitz minors, and solves
-the rows that pass; `metric_row` evaluates them.  A masked row, and every
-row of a stack whose evaluation raises, is evaluated alone through the
-scalar calls, so one bad point is one error row with its own
+bits of the scalar calls.  `lyapunov.solve_stable` then eigensolves the
+stack's sectors once, gates every row by that spectrum and the
+Routh-Hurwitz minors, and solves the rows that pass; `metric_row`
+evaluates them.  A stack whose evaluation raises anywhere (a row that
+fails validation, a square that overflows, a failed solve) is split in
+halves and each is evaluated again, down to single rows, which go
+through the scalar calls: one bad point is one error row with its own
 "{Type}: {message}".  The stack size never changes a result.
 
 A `SweepResult` holds one float array per metric, the stable mask and the
@@ -35,7 +36,7 @@ from .params import (
     PowerDrive,
     as_direct_drive,
     derive_model,
-    invalid_rows,
+    expect_json,
 )
 from .stability import rhsc_check
 
@@ -175,7 +176,10 @@ class SweepAxis:
     def from_json(obj: dict) -> "SweepAxis":
         """An axis is exactly {name, values} or {name, min, max, count},
         with a whole-number count."""
-        if set(obj) == {"name", "values"}:
+        if set(expect_json(obj, dict, "an axis")) == {"name", "values"}:
+            for value in expect_json(obj["values"], list, "axis values"):
+                if type(value) not in (int, float):  # bool, str, list, null
+                    raise ValueError(f"axis values must be numbers, got {value!r}")
             return SweepAxis.explicit(obj["name"], obj["values"])
         if set(obj) != {"name", "min", "max", "count"}:
             raise ValueError(
@@ -247,7 +251,7 @@ class SweepSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "SweepSpec":
-        unknown = set(obj) - {f.name for f in fields(SweepSpec)}
+        unknown = set(expect_json(obj, dict, "a sweep spec")) - {f.name for f in fields(SweepSpec)}
         if unknown:
             raise ValueError(f"unknown sweep spec fields: {sorted(unknown)}")
         missing = {"base", "axes"} - set(obj)
@@ -256,10 +260,11 @@ class SweepSpec:
         values = dict(
             obj,
             base=PhysicalParams.from_json(obj["base"]),
-            axes=tuple(SweepAxis.from_json(ax) for ax in obj["axes"]),
+            axes=tuple(SweepAxis.from_json(ax) for ax in expect_json(obj["axes"], list, "axes")),
         )
         if "outputs" in values:
-            values["outputs"] = tuple(values["outputs"])
+            outputs = expect_json(values["outputs"], list, "outputs")
+            values["outputs"] = tuple(expect_json(name, str, "an output name") for name in outputs)
         return SweepSpec(**values)
 
 
@@ -331,40 +336,28 @@ def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarra
     """Fill in `rows` of the sweep's (columns, stable, errors) in `out`.
 
     Many rows go through the array calls as one stack; a row alone goes
-    through the scalar calls, which raise its own error.  Rows that fail
-    validation, and every row of a stack whose evaluation raises, are
-    evaluated alone, so one bad point is one error row.
+    through the scalar calls, which raise its own error.  A stack whose
+    evaluation raises is split in halves, each evaluated again, so one bad
+    point is one error row.
     """
     columns, stable, errors = out
     try:
-        with np.errstate(all="ignore"):  # rows that fail validation are masked
-            if len(rows) == 1:
-                model = derive_model(apply_overrides(base, {n: v[rows[0]] for n, v in axes.items()}))
-                keep = np.ones(1, dtype=bool)
-            else:
-                params = apply_overrides(base, {n: v[rows] for n, v in axes.items()})
-                model = derive_model(params)
-                keep = ~(invalid_rows(params) | invalid_rows(model))
-            h1, h2, h3, hurwitz = rhsc_check(model)
-            # a row whose minors overflow is rerun alone, where the square raises
-            keep = keep & np.isfinite(h1) & np.isfinite(h2) & np.isfinite(h3)
+        with np.errstate(all="ignore"):  # arrays overflow to inf, as floats do
+            at = rows[0] if len(rows) == 1 else rows
+            model = derive_model(apply_overrides(base, {n: v[at] for n, v in axes.items()}))
+            hurwitz = rhsc_check(model)[3]
             # a quantity that no swept axis reaches is one value for every row
-            w = np.broadcast_to(build_drift(model), (keep.size, 8, 8))[keep]
-            d = np.broadcast_to(build_diffusion(model), (keep.size, 8, 8))[keep]
-            hurwitz = np.broadcast_to(hurwitz, keep.shape)[keep]
-        for row in rows[~keep, None]:
-            _evaluate(base, axes, row, out)
-        rows = rows[keep]
-        if not rows.size:
-            return
+            w = np.broadcast_to(build_drift(model), (rows.size, 8, 8))
+            d = np.broadcast_to(build_diffusion(model), (rows.size, 8, 8))
+            hurwitz = np.broadcast_to(hurwitz, rows.shape)
         gate, solution = solve_stable(w, d, hurwitz)
         metrics = metric_row(solution.sigma) if solution is not None else {}
     except Exception as exc:  # a failed stack is split; a failed point is recorded
         if len(rows) == 1:
             errors[rows[0]] = f"{type(exc).__name__}: {exc}"
         else:
-            for row in rows[:, None]:
-                _evaluate(base, axes, row, out)
+            for half in np.array_split(rows, 2):
+                _evaluate(base, axes, half, out)
         return
     stable[rows] = gate
     for name, values in metrics.items():

@@ -21,6 +21,16 @@ COMMAND_FLAGS = {
 }
 
 
+def _spec(**change):
+    """A valid sweep spec with the fields in `change` replaced."""
+    spec = {
+        "base": paper_base().to_json(),
+        "axes": [{"name": "lambda_over_kappa", "min": 0.0, "max": 0.4, "count": 3}],
+        "coupling_mode": "powers",
+    }
+    return {**spec, **change}
+
+
 class TestStabilityCommand:
     def test_appendix_c_report(self, capsys):
         assert main(["stability", "--preset", "appendixC"]) == 0
@@ -379,13 +389,52 @@ class TestUsageErrors:
         assert main(["sweep", "--config", str(config)]) == 2
         assert capsys.readouterr().err == "error: axis min must be a number, got 'a'\n"
 
-    def test_parameter_file_without_kappa(self, tmp_path, capsys):
-        params = appendix_c_params().to_json()
-        del params["kappa"]
-        config = tmp_path / "params.json"
-        config.write_text(json.dumps(params))
-        assert main(["stability", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == "error: missing parameter fields: ['kappa']\n"
+    @pytest.mark.parametrize("command, payload, message", [
+        pytest.param(["stability", "--config"],
+                     {k: v for k, v in appendix_c_params().to_json().items() if k != "kappa"},
+                     "missing parameter fields: ['kappa']", id="stability-no-kappa"),
+        pytest.param(["sweep", "--config"], _spec(axes=5),
+                     "axes must be a JSON array, got number", id="sweep-axes"),
+        pytest.param(["sweep", "--config"], _spec(axes=[5]),
+                     "an axis must be a JSON object, got number", id="sweep-axis"),
+        pytest.param(["sweep", "--config"], _spec(base=5),
+                     "parameters must be a JSON object, got number", id="sweep-base"),
+        pytest.param(["sweep", "--config"],
+                     _spec(axes=[{"name": "lambda_over_kappa", "values": 5}]),
+                     "axis values must be a JSON array, got number", id="sweep-values"),
+        pytest.param(["sweep", "--config"],
+                     _spec(axes=[{"name": "lambda_over_kappa", "values": ["0.1", "0.2"]}]),
+                     "axis values must be numbers, got '0.1'", id="sweep-string-values"),
+        pytest.param(["sweep", "--config"],
+                     _spec(axes=[{"name": "lambda_over_kappa", "values": [True, False]}]),
+                     "axis values must be numbers, got True", id="sweep-boolean-values"),
+        pytest.param(["sweep", "--config"], _spec(outputs=5),
+                     "outputs must be a JSON array, got number", id="sweep-outputs"),
+        pytest.param(["sweep", "--config"], _spec(base={**paper_base().to_json(), "drive": 5}),
+                     "drive must be a JSON object, got number", id="sweep-drive"),
+        pytest.param(["steady", "--config"], [1.0, 2.0],
+                     "parameters must be a JSON object, got array", id="steady-list"),
+        pytest.param(["steady", "--config"], 5,
+                     "parameters must be a JSON object, got number", id="steady-number"),
+        pytest.param(["metrics", "--cm"], [0.5] * 64,
+                     "a covariance must be a JSON object, got array", id="metrics-list"),
+        pytest.param(["metrics", "--cm"], 5,
+                     "a covariance must be a JSON object, got number", id="metrics-number"),
+        pytest.param(["metrics", "--cm"], {"covariance": 5},
+                     "a covariance must be a JSON object, got number", id="metrics-covariance"),
+        pytest.param(["metrics", "--cm"], {**covariance_to_json(np.eye(8)), "sigma": {"a": 1}},
+                     "covariance payload must hold exactly 64 numbers", id="metrics-sigma"),
+        pytest.param(["metrics", "--cm"], {"basis": covariance_to_json(np.eye(8))["basis"]},
+                     "covariance payload must hold exactly 64 numbers", id="metrics-no-sigma"),
+    ])
+    def test_malformed_input_file(self, tmp_path, capsys, command, payload, message):
+        """A file of the wrong JSON structure is a usage error with one line."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", [["sweep", "--config", "spec.json"],
                                          ["figure", "fig3a"], ["optimum", "fig3a"]])
@@ -397,13 +446,13 @@ class TestUsageErrors:
 class TestNumericalFailures:
     @pytest.mark.parametrize("command", ["stability", "steady", "evolve"])
     def test_overflowing_couplings_exit_4_with_one_line(self, capsys, command):
-        """The squared Routh-Hurwitz minors overflow; a sweep keeps the same
+        """The square of the coupling overflows; a sweep keeps the same
         failure as an "OverflowError: ..." error row."""
         rc = main([command, "--preset", "appendixC", "--set", "g_minus_over_kappa=1e200"])
         assert rc == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: (34, 'Numerical result out of range')\n"
+        assert captured.err == "error: the square of G_minus = 1e+200 overflows a float\n"
 
 
 class TestHelp:

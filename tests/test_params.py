@@ -188,6 +188,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             DirectCouplings(G_minus=-1.0, G_plus=0.0)
 
+    @pytest.mark.parametrize("make, bad, message", [
+        (lambda rows: DirectCouplings(G_minus=rows, G_plus=0.0), -0.2,
+         "couplings must be >= 0"),
+        (lambda rows: PowerDrive(P_minus=1e-9, P_plus=rows * 1e-9), -0.2,
+         "powers must be >= 0"),
+        (lambda rows: PhysicalParams(**{**paper_base().__dict__, "temperature": rows}), -0.2,
+         "temperature must be >= 0"),
+        (lambda rows: ModelParams(G_minus=0.2, G_plus=0.1, lambda_pa=0.4, phi=rows,
+                                  gamma=1e-5, n_c=0.0, n_m=50.0), math.nan,
+         "phi must be finite"),
+    ])
+    def test_array_fields_with_one_bad_row_raise(self, make, bad, message):
+        """No instance holds an invalid row: one bad element rejects the
+        array, as the same value does on its own."""
+        make(np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError, match=message):
+            make(np.array([0.1, bad, 0.3]))
+        with pytest.raises(ValueError, match=message):
+            make(bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name",

@@ -267,8 +267,23 @@ class TestRunSweep:
         text it raises when evaluated alone; its stack is unaffected."""
         spec = direct_spec(axes=(SweepAxis.explicit("g_minus_over_kappa", (0.2, 1e200, 0.4)),))
         result = run_sweep(spec)
-        assert result.errors == (None, "OverflowError: (34, 'Numerical result out of range')", None)
+        overflow = "OverflowError: the square of G_minus = 1e+200 overflows a float"
+        assert result.errors == (None, overflow, None)
         assert result.stable.tolist() == [True, False, True]
+
+    def test_infinite_minors_without_an_overflowing_square_are_unstable(self):
+        """At G-/kappa ~ 1e77 the squares are finite but a product of them
+        overflows, so the minors are inf: the row is unstable, as `analyze`
+        finds, and not an error."""
+        from omsqueeze.stability import analyze
+
+        spec = direct_spec(
+            axes=(SweepAxis.explicit("g_minus_over_kappa", (0.2, 1e77, 1.1e77, 0.4)),))
+        result = run_sweep(spec)
+        assert result.errors == (None,) * 4
+        assert result.stable.tolist() == [True, False, False, True]
+        for overrides in spec.assignments()[1:3]:
+            assert not analyze(derive_model(apply_overrides(spec.base, overrides))).stable
 
     def test_deterministic_csv_bytes(self, tmp_path):
         spec = direct_spec(
@@ -307,31 +322,51 @@ class TestRunSweep:
             run_sweep(spec).write_csv(path)
             assert path.read_bytes() == reference.read_bytes()
 
+    @staticmethod
+    def _stack_spec(monkeypatch):
+        """One stack of 256 stable and unstable (ratio > 1) rows, no error row."""
+        import omsqueeze.sweep as sweep_module
+
+        monkeypatch.setattr(sweep_module, "BATCH", 256)
+        return SweepSpec(
+            base=paper_base(),
+            axes=(SweepAxis.linear("p_plus_over_p_minus", 0.0, 1.4, 256),),
+            coupling_mode="powers",
+            name="stack",
+        )
+
+    # A stack with one bad row is halved down to that row: two calls per
+    # halving (the good half and the bad one) after the first.
+    MAX_GATE_CALLS = 2 * math.log2(256) + 1
+
     def test_failure_inside_a_stack_is_one_error_row(self, tmp_path, monkeypatch):
-        """A stacked call that raises falls back to solving each point alone."""
+        """A stacked call that raises is split in halves until the point
+        that fails is alone."""
         import omsqueeze.sweep as sweep_module
         from omsqueeze.errors import PhysicalityError
 
-        spec = self._mixed_spec()
+        spec = self._stack_spec(monkeypatch)
         clean = run_sweep(spec)
-        marked = 9
+        marked = 99
         assert clean.grid[marked].stable
         target = clean.grid[marked].metrics["v_xd"]
-        original = sweep_module.metric_row
-        shapes = []
+        original_metrics, original_gate = sweep_module.metric_row, sweep_module.solve_stable
+        sizes = []
 
         def failing_on_marked(sigma):
-            shapes.append(sigma.shape)
-            row = original(sigma)
+            row = original_metrics(sigma)
             if np.any(np.asarray(row["v_xd"]) == target):
                 raise PhysicalityError("marked covariance")
             return row
 
+        def counting(w, d, rhsc_stable):
+            sizes.append(len(w))
+            return original_gate(w, d, rhsc_stable)
+
         monkeypatch.setattr(sweep_module, "metric_row", failing_on_marked)
+        monkeypatch.setattr(sweep_module, "solve_stable", counting)
         result = run_sweep(spec)
-        stable = sum(p.stable for p in clean.grid)
-        assert shapes[0] == (stable, 8, 8)  # one stack, then one call per point
-        assert shapes[1:] == [(1, 8, 8)] * stable
+        assert sizes[0] == 256 and len(sizes) <= self.MAX_GATE_CALLS
         assert result.grid[marked].error == "PhysicalityError: marked covariance"
         assert not result.grid[marked].stable and result.grid[marked].metrics is None
 
@@ -345,12 +380,12 @@ class TestRunSweep:
         assert after[row].endswith(",nan,0,nan")
 
     def test_gate_failure_inside_a_stack_is_one_error_row(self, tmp_path, monkeypatch):
-        """A stability gate that raises for one drift of a stack falls back
-        to gating (and solving) each point alone."""
+        """A stability gate that raises for one drift of a stack is split in
+        halves until that drift is alone."""
         import omsqueeze.sweep as sweep_module
         from omsqueeze.errors import ThresholdError
 
-        spec = self._mixed_spec()
+        spec = self._stack_spec(monkeypatch)
         clean = run_sweep(spec)
         marked = 3
         target = build_drift(derive_model(apply_overrides(spec.base, spec.assignments()[marked])))
@@ -365,8 +400,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_module, "solve_stable", failing_on_marked)
         result = run_sweep(spec)
-        derived = len(spec.assignments()) - 1  # one point fails in its overrides
-        assert sizes == [derived] + [1] * derived
+        assert sizes[0] == 256 and len(sizes) <= self.MAX_GATE_CALLS
         assert result.grid[marked].error == "ThresholdError: marked model"
         assert not result.grid[marked].stable and result.grid[marked].metrics is None
         for i, (before, after) in enumerate(zip(clean.grid, result.grid)):
@@ -411,39 +445,36 @@ class TestColumnarFrontEnd:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def _check(self, spec, result, rows):
-        """Models, drifts, validity and stable flags of `rows` from one array
-        call on the whole grid equal the scalar calls' bit for bit; rows the
-        scalar call rejects are masked and carry its error text."""
-        from omsqueeze.params import ModelParams, invalid_rows
+        """Rows of `rows` the scalar calls reject carry their error text; the
+        rows they accept, evaluated as one array call, give the scalar calls'
+        models, drifts and stable flags bit for bit."""
+        from omsqueeze.params import ModelParams
         from omsqueeze.stability import analyze
 
         base = spec.base
         if spec.coupling_mode == "direct":
             base = as_direct_drive(base)
-        columns = spec.columns()
-        size = spec.grid_size()
-        with np.errstate(all="ignore"):
-            params = apply_overrides(base, columns)
-            model = derive_model(params)
-            drift = np.broadcast_to(build_drift(model), (size, 8, 8))
-        bad = np.broadcast_to(invalid_rows(params) | invalid_rows(model), (size,))
         assignments = spec.assignments()
+        singles = {}
         for row in rows:
             try:
-                single = derive_model(apply_overrides(base, assignments[row]))
+                singles[row] = derive_model(apply_overrides(base, assignments[row]))
             except Exception as exc:
-                assert bad[row], assignments[row]
                 assert result.errors[row] == f"{type(exc).__name__}: {exc}"
                 assert not result.stable[row]
-                continue
-            assert not bad[row], assignments[row]
+        accepted = np.array(list(singles), dtype=int)
+        columns = {name: values[accepted] for name, values in spec.columns().items()}
+        model = derive_model(apply_overrides(base, columns))
+        drift = np.broadcast_to(build_drift(model), (accepted.size, 8, 8))
+        for i, row in enumerate(accepted):
+            single = singles[row]
             for field in (f.name for f in fields(ModelParams)):
-                got = np.broadcast_to(getattr(model, field), (size,))[row]
+                got = np.broadcast_to(getattr(model, field), accepted.shape)[i]
                 if field == "rwa_flagged":
                     assert bool(got) == getattr(single, field)
                 else:
                     self._same_bits(got, getattr(single, field))
-            self._same_bits(drift[row], build_drift(single))
+            self._same_bits(drift[i], build_drift(single))
             assert result.stable[row] == analyze(single).stable, assignments[row]
             assert result.errors[row] is None
 
