@@ -8,7 +8,7 @@ covariance (Lyapunov solve, cross-checked by time integration) -> squeezing
 and logarithmic-negativity metrics -> parameter sweeps.
 """
 
-from .dynamics import Trajectory, cm_derivative, evolve_to_steady, integrate
+from .dynamics import Trajectory, evolve_to_steady, integrate
 from .errors import (
     ConvergenceError,
     DivergenceError,

@@ -42,15 +42,6 @@ _E = np.array(
 )
 
 
-def cm_derivative(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Right-hand side W sigma + sigma W^T + D of the covariance ODE.
-
-    Matrix form; the stepper applies the same map to sigma.ravel() through
-    `_vec_operator`.
-    """
-    return w @ sigma + sigma @ w.T + d
-
-
 def _vec_operator(w: np.ndarray) -> np.ndarray:
     """L = W (x) I + I (x) W: L @ sigma.ravel() = (W sigma + sigma W^T).ravel()."""
     eye = np.eye(w.shape[0])

@@ -26,7 +26,17 @@ QUADRATURES = ("x_c1", "y_c1", "x_c2", "y_c2", "x_d1", "y_d1", "x_d2", "y_d2")
 # Quadratures of each cavity-mechanics pair, in the order of a 4x4 sector.
 MODE_1 = np.array([0, 1, 4, 5])
 MODE_2 = np.array([2, 3, 6, 7])
-_SECTOR_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1, 1, 1)  # A + B, A - B
+_SECTOR_SIGNS = np.array([1.0, -1.0]).reshape(2, 1)  # A + B, A - B
+
+
+def _positions(rows, columns):
+    return (rows[:, None] * 8 + columns).reshape(16)
+
+
+# Row-major 8x8 positions of the pair-1 blocks [A, B] and of the pair-2
+# blocks that must equal them, [A, B] again.
+_PAIR_1 = np.concatenate([_positions(MODE_1, MODE_1), _positions(MODE_1, MODE_2)])
+_PAIR_2 = np.concatenate([_positions(MODE_2, MODE_2), _positions(MODE_2, MODE_1)])
 _0 = None  # a structural zero of the drift or diffusion
 
 
@@ -91,13 +101,11 @@ def split_sectors(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {x.shape}")
-    # quadrature index = 4 (cavity, mechanics) + 2 pair + (x, y), rows then columns
-    blocks = x.reshape(*x.shape[:-2], 2, 2, 2, 2, 2, 2)
-    pair_1, pair_2 = blocks[..., :, 0, :, :, :, :], blocks[..., :, 1, :, :, :, :]
-    if not (pair_2[..., ::-1, :] == pair_1).all():  # [X_21, X_22] == [X_12, X_11]
+    flat = x.reshape(*x.shape[:-2], 64)
+    pair_1 = flat[..., _PAIR_1]
+    if not (flat[..., _PAIR_2] == pair_1).all():  # [X_22, X_21] == [X_11, X_12]
         raise ValueError("matrix does not split into sum and difference sectors")
-    a = pair_1[..., None, :, :, :, 0, :]
-    b = pair_1[..., None, :, :, :, 1, :]
+    a, b = pair_1[..., None, :16], pair_1[..., None, 16:]
     return (a + _SECTOR_SIGNS * b).reshape(*x.shape[:-2], 2, 4, 4)
 
 
@@ -108,12 +116,13 @@ def join_sectors(sectors: np.ndarray) -> np.ndarray:
     s = np.asarray(sectors, dtype=float)
     if s.shape[-3:] != (2, 4, 4):
         raise ValueError(f"expected (..., 2, 4, 4) sectors, got {s.shape}")
-    s = s.reshape(*s.shape[:-3], 2, 2, 2, 2, 2)  # [sector, (c, m), (x, y)] twice
-    a = (s[..., 0, :, :, :, :] + s[..., 1, :, :, :, :]) / 2.0
-    b = (s[..., 0, :, :, :, :] - s[..., 1, :, :, :, :]) / 2.0
-    pair_1 = np.stack([a, b], axis=-2)  # column pair inserted before (x, y)
-    blocks = np.stack([pair_1, pair_1[..., ::-1, :]], axis=-5)  # row pair likewise
-    return blocks.reshape(*s.shape[:-5], 8, 8)
+    s = s.reshape(*s.shape[:-3], 2, 16)
+    pair_1 = np.concatenate([s[..., 0, :] + s[..., 1, :], s[..., 0, :] - s[..., 1, :]], axis=-1)
+    pair_1 /= 2.0
+    out = np.empty((*s.shape[:-2], 64))
+    out[..., _PAIR_1] = pair_1
+    out[..., _PAIR_2] = pair_1
+    return out.reshape(*s.shape[:-2], 8, 8)
 
 
 def build_diffusion(m: ModelParams) -> np.ndarray:

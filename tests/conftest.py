@@ -148,6 +148,13 @@ def kronecker_lyapunov(w, d):
     return (sigma + sigma.T) / 2.0
 
 
+def cm_derivative(w, d, sigma):
+    """Right-hand side W sigma + sigma W^T + D of the covariance ODE in
+    matrix form; the stepper applies the same map to sigma.ravel() through
+    `dynamics._vec_operator`."""
+    return w @ sigma + sigma @ w.T + d
+
+
 def kronecker_sector_operator(sectors):
     """I (x) W_s + W_s (x) I for each sector of a (..., 2, 4, 4) stack: the
     Lyapunov operator on the row-major vec of a general sigma_s, as

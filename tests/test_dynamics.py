@@ -11,7 +11,6 @@ from omsqueeze import (
     Trajectory,
     build_diffusion,
     build_drift,
-    cm_derivative,
     evolve_to_steady,
     initial_covariance,
     integrate,
@@ -19,7 +18,7 @@ from omsqueeze import (
 )
 from omsqueeze.dynamics import _vec_operator
 
-from conftest import PAPER_N_C, PAPER_N_M, model, random_models
+from conftest import PAPER_N_C, PAPER_N_M, cm_derivative, model, random_models
 
 
 class TestCmDerivative:

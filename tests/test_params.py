@@ -208,6 +208,27 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             make(bad)
 
+    @pytest.mark.parametrize("make, bad, scalar_message, row_message", [
+        (lambda rows: ModelParams(G_minus=0.2, G_plus=0.1, lambda_pa=0.4, phi=rows,
+                                  gamma=1e-5, n_c=0.0, n_m=50.0), math.nan,
+         "phi must be finite, got nan", "phi must be finite, got nan"),
+        (lambda rows: DirectCouplings(G_minus=rows, G_plus=0.0), -0.2,
+         "effective couplings must be >= 0", "effective couplings must be >= 0, got -0.2"),
+    ], ids=["finite", "sign"])
+    def test_array_message_names_the_first_bad_row(self, make, bad, scalar_message,
+                                                   row_message):
+        """An array field's message gives the index and value of its first
+        bad row, not the array's repr (elided when long); a scalar's message
+        is unchanged."""
+        rows = np.full(2000, 0.1)
+        rows[[1500, 1700]] = bad
+        with pytest.raises(ValueError) as error:
+            make(rows)
+        assert str(error.value) == f"{row_message} at row 1500"
+        with pytest.raises(ValueError) as error:
+            make(bad)
+        assert str(error.value) == scalar_message
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name",

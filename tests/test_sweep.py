@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -43,6 +46,20 @@ def direct_spec(**kwargs):
     )
     defaults.update(kwargs)
     return SweepSpec(**defaults)
+
+
+def mixed_grid_spec():
+    """Stable, unstable and error rows: a negative power, a negative pump
+    gain and a ratio that overflows the couplings to inf."""
+    return SweepSpec(
+        base=paper_base(),
+        axes=(
+            SweepAxis.explicit("p_plus_over_p_minus", (-0.5, 0.0, 0.4, 1.1, 1e308)),
+            SweepAxis.explicit("lambda_over_kappa", (-0.1, 0.0, 0.3, 0.6)),
+        ),
+        coupling_mode="powers",
+        name="mixed",
+    )
 
 
 def sequential_overrides(params, overrides):
@@ -322,6 +339,98 @@ class TestRunSweep:
             run_sweep(spec).write_csv(path)
             assert path.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("name", ["mixed-line", "mixed-grid", "fig7a"])
+    def test_bytes_independent_of_worker_count(self, name, tmp_path, monkeypatch):
+        """CSV and JSON are the same with one thread and with three (more
+        than the cores a test host has, switching threads every microsecond),
+        error rows found by halving a stack in a worker thread included."""
+        import omsqueeze.sweep as sweep_module
+
+        spec = {"mixed-line": self._mixed_spec, "mixed-grid": mixed_grid_spec,
+                "fig7a": lambda: figure_preset("fig7a")}[name]()
+        monkeypatch.setattr(sweep_module, "BATCH", 4)
+        outputs = []
+        interval = sys.getswitchinterval()
+        for workers in (1, 3):
+            monkeypatch.setattr(sweep_module, "_cpus", lambda: workers)
+            sys.setswitchinterval(1e-6)
+            try:
+                result = run_sweep(spec)
+            finally:
+                sys.setswitchinterval(interval)
+            path = tmp_path / f"{workers}.csv"
+            result.write_csv(path)
+            outputs.append((path.read_bytes(), json.dumps(result.to_json())))
+        assert outputs[0] == outputs[1]
+        assert name == "fig7a" or any(result.errors)
+
+    def test_one_cpu_or_one_stack_starts_no_thread(self, monkeypatch):
+        import omsqueeze.sweep as sweep_module
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("run_sweep started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(sweep_module, "BATCH", 4)
+        monkeypatch.setattr(sweep_module, "_cpus", lambda: 1)
+        run_sweep(figure_preset("fig7a"))  # 51 stacks, one CPU
+        monkeypatch.setattr(sweep_module, "BATCH", 256)
+        monkeypatch.setattr(sweep_module, "_cpus", lambda: 4)
+        run_sweep(figure_preset("fig7a"))  # one stack, four CPUs
+
+    def test_workers_keep_the_callers_floating_point_error_state(self, monkeypatch):
+        """A thread starts with numpy's default error state unless it runs in
+        the caller's context; a stack must not depend on which thread ran it."""
+        import omsqueeze.sweep as sweep_module
+
+        original = sweep_module._evaluate
+        seen = []
+
+        def recording(base, axes, rows, out):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         np.geterr()["over"]))
+            original(base, axes, rows, out)
+
+        monkeypatch.setattr(sweep_module, "BATCH", 4)
+        monkeypatch.setattr(sweep_module, "_cpus", lambda: 3)
+        monkeypatch.setattr(sweep_module, "_evaluate", recording)
+        with np.errstate(over="raise"):
+            run_sweep(figure_preset("fig7a"))  # 51 stacks
+        assert (False, "raise") in seen
+        assert {state for _, state in seen} == {"raise"}
+
+    def test_cpu_count_falls_back_where_affinity_is_missing(self, monkeypatch):
+        import omsqueeze.sweep as sweep_module
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert sweep_module._cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert sweep_module._cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert sweep_module._cpus() == 1
+
+    def test_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        """An exception that `_evaluate` does not turn into an error row, in
+        a thread run_sweep started, is raised by run_sweep."""
+        import omsqueeze.sweep as sweep_module
+
+        original = sweep_module._evaluate
+        interrupted = []
+
+        def interrupted_in_a_worker(base, axes, rows, out):
+            if threading.current_thread() is not threading.main_thread() and not interrupted:
+                interrupted.append(rows[0])
+                raise KeyboardInterrupt
+            original(base, axes, rows, out)
+
+        monkeypatch.setattr(sweep_module, "BATCH", 4)
+        monkeypatch.setattr(sweep_module, "_cpus", lambda: 3)
+        monkeypatch.setattr(sweep_module, "_evaluate", interrupted_in_a_worker)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(figure_preset("fig7a"))  # 51 stacks
+        assert len(interrupted) == 1
+
     @staticmethod
     def _stack_spec(monkeypatch):
         """One stack of 256 stable and unstable (ratio > 1) rows, no error row."""
@@ -486,17 +595,7 @@ class TestColumnarFrontEnd:
         self._check(spec, figure_results[name], rows)
 
     def test_mixed_spec_equals_the_scalar_calls(self):
-        """Stable, unstable and error rows: a negative power, a negative pump
-        gain and a ratio that overflows the couplings to inf."""
-        spec = SweepSpec(
-            base=paper_base(),
-            axes=(
-                SweepAxis.explicit("p_plus_over_p_minus", (-0.5, 0.0, 0.4, 1.1, 1e308)),
-                SweepAxis.explicit("lambda_over_kappa", (-0.1, 0.0, 0.3, 0.6)),
-            ),
-            coupling_mode="powers",
-            name="mixed",
-        )
+        spec = mixed_grid_spec()
         result = run_sweep(spec)
         assert 0 < sum(e is not None for e in result.errors) < len(result.errors)
         assert result.stable.any() and not result.stable.all()
@@ -516,7 +615,8 @@ class TestColumnarFrontEnd:
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         monkeypatch.setattr(sweep_module, "BATCH", 64)
         run_sweep(figure_preset("fig7a"))  # 201 stable points
-        assert shapes == [(64, 2, 4, 4)] * 3 + [(9, 2, 4, 4)]
+        # worker threads reach eigvals in any order
+        assert sorted(shapes) == [(9, 2, 4, 4)] + [(64, 2, 4, 4)] * 3
 
 
 class TestFindOptimum:
