@@ -38,7 +38,6 @@ from .metrics import (
     log_negativity,
     metric_row,
     physicality_check,
-    single_mode_variances,
     squeezing_db,
 )
 from .params import (

@@ -5,12 +5,14 @@ the drift and the diffusion are block diagonal, W = W_+ (+) W_- and
 D = D_+ (+) D_- (`matrices.split_sectors`), and so is the steady state.
 Each sigma_s is symmetric, so each sector is a 10x10 system in the upper
 triangle of sigma_s (of the symmetric part of D_s), and
-`matrices.join_sectors` rotates sigma_+ (+) sigma_- back.  A W or a D that
-does not split raises ValueError.  W and D may be stacks (..., 8, 8), each
-matrix solved as it would be alone, with one eigensolve of the sectors for
-the stability decision and the condition estimate: `solve_lyapunov`
-rejects any drift that `stability.spectral_verdict` does not call stable,
-and `solve_stable` gates each drift and solves those that pass.
+`matrices.join_sectors` rotates sigma_+ (+) sigma_- back.  A W not of
+`build_drift`'s form, or a D that does not split, raises ValueError.  W and
+D may be stacks (..., 8, 8), each matrix solved as it would be alone.  The
+stability decision and the condition estimate take one eigensolve of W_+,
+whose spectrum is W's (W_- = T W_+ T^-1, `matrices.split_drift`):
+`solve_lyapunov` rejects any drift that `stability.spectral_verdict` does
+not call stable, and `solve_stable` eigensolves only the drifts that pass
+the Routh-Hurwitz gate and solves those that pass both.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdError, UnstableSystemError
-from .matrices import join_sectors, split_sectors
+from .matrices import join_sectors, split_drift, split_sectors
 from .stability import MARGINAL_BAND, spectral_verdict
 
 
@@ -80,9 +82,7 @@ def _split(w, d):
     d = np.asarray(d, dtype=float)
     if w.ndim < 2 or w.shape[-2] != w.shape[-1] or d.shape != w.shape:
         raise ValueError("drift and diffusion matrices must be square and congruent")
-    sectors = split_sectors(w)
-    eigenvalues = np.linalg.eigvals(sectors).reshape(*w.shape[:-2], 8)
-    return w, d, sectors, split_sectors(d), eigenvalues
+    return w, d, split_drift(w), split_sectors(d)
 
 
 def _solve(w, d, sectors, d_sectors, eigenvalues) -> LyapunovSolution:
@@ -94,6 +94,7 @@ def _solve(w, d, sectors, d_sectors, eigenvalues) -> LyapunovSolution:
     # + 0.0 turns -0.0 into 0.0: the sign of an exact zero follows the pivots
     sigma = join_sectors(upper[..., _SYMMETRIC]) + 0.0
 
+    # W_+'s spectrum is W's, each eigenvalue once: the same pairwise sums
     sums = np.abs(eigenvalues[..., :, None] + eigenvalues[..., None, :])
     conditions = np.max(sums, axis=(-2, -1)) / np.min(sums, axis=(-2, -1))
     residuals = _residuals(w, d, sigma)
@@ -115,7 +116,8 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
     drift, and words its rejection, by `stability.spectral_verdict` of the
     largest real part over the whole stack.
     """
-    w, d, sectors, d_sectors, eigenvalues = _split(w, d)
+    w, d, sectors, d_sectors = _split(w, d)
+    eigenvalues = np.linalg.eigvals(sectors[..., 0, :, :])  # W_+
     spectral_abscissa = float(np.max(eigenvalues.real))
     kind = spectral_verdict(spectral_abscissa)
     if kind != "stable":
@@ -133,11 +135,14 @@ def solve_stable(
     those whose `rhsc_stable` (the Routh-Hurwitz verdict of its model)
     holds and whose spectral abscissa `stability.spectral_verdict` calls
     stable.  Returns that mask and the solution of the drifts it selects,
-    in order (None if it selects none)."""
-    w, d, sectors, d_sectors, eigenvalues = _split(w, d)
-    spectral = spectral_verdict(eigenvalues.real.max(axis=-1))
-    stable = np.asarray(rhsc_stable) & (spectral == "stable")
+    in order (None if it selects none).  The whole stack is validated, but
+    only the drifts that `rhsc_stable` passes are eigensolved."""
+    w, d, sectors, d_sectors = _split(w, d)
+    stable = np.array(rhsc_stable, dtype=bool)  # narrowed to the spectrum's verdict
+    eigenvalues = np.linalg.eigvals(sectors[stable, 0])  # W_+
+    passed = spectral_verdict(eigenvalues.real.max(axis=-1)) == "stable"
+    stable[stable] = passed
     if not stable.any():
         return stable, None
     return stable, _solve(w[stable], d[stable], sectors[stable], d_sectors[stable],
-                          eigenvalues[stable])
+                          eigenvalues[passed])

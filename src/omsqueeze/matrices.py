@@ -11,8 +11,9 @@ The model is symmetric under exchanging the two cavity-mechanics pairs, so
 in the sum/difference quadratures (q_1 +- q_2)/sqrt(2) the drift and the
 diffusion split exactly into two 4x4 sectors, W_+ (+) W_- and D_+ (+) D_-.
 This module is the only one that knows that basis: `split_sectors` reads
-the sectors off by index arithmetic, `join_sectors` rotates them back, and
-the solvers work on the sectors in between.
+the sectors off by index arithmetic, `split_drift` also checks that a drift
+has the model's form, for which W_- is similar to W_+, `join_sectors`
+rotates them back, and the solvers work on the sectors in between.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ def _positions(rows, columns):
 # blocks that must equal them, [A, B] again.
 _PAIR_1 = np.concatenate([_positions(MODE_1, MODE_1), _positions(MODE_1, MODE_2)])
 _PAIR_2 = np.concatenate([_positions(MODE_2, MODE_2), _positions(MODE_2, MODE_1)])
-_0 = None  # a structural zero of the drift or diffusion
 
 
 def coupling_coefficients(m: ModelParams) -> tuple[float, float, float, float]:
@@ -54,38 +54,35 @@ def coupling_coefficients(m: ModelParams) -> tuple[float, float, float, float]:
     return a, b, c, s
 
 
-def _assemble(rows: list[list], *values) -> np.ndarray:
-    """The 8x8 matrix with these entries, or the stack of one per element if
-    the `values` they are built from are arrays.  Entries other than the
-    structural zeros `_0` are written one by one and keep their bits."""
-    shapes = [v.shape for v in values if isinstance(v, np.ndarray)]
-    out = np.zeros(np.broadcast_shapes(*shapes) + (8, 8))
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x is not _0:
-                out[..., i, j] = x
-    return out
+def _fill(template: np.ndarray, *values) -> np.ndarray:
+    """The 8x8 matrix that holds values[k - 1] where `template` holds k and
+    0.0 where it holds 0, or the stack of one per element if `values` are
+    arrays.  Every entry is a copy of its value and keeps its bits."""
+    return np.stack(np.broadcast_arrays(0.0, *values), axis=-1)[..., template]
+
+
+# build_drift's template, over the values (k2, g2, c, s, -c, -a, b).
+_K, _G, _C, _S, _NC, _NA, _B = range(1, 8)
+_DRIFT = np.array(
+    [
+        [_K, 0, _C, _S, 0, _NA, 0, 0],
+        [0, _K, _S, _NC, _B, 0, 0, 0],
+        [_C, _S, _K, 0, 0, 0, 0, _NA],
+        [_S, _NC, 0, _K, 0, 0, _B, 0],
+        [0, _NA, 0, 0, _G, 0, 0, 0],
+        [_B, 0, 0, 0, 0, _G, 0, 0],
+        [0, 0, 0, _NA, 0, 0, _G, 0],
+        [0, 0, _B, 0, 0, 0, 0, _G],
+    ]
+)
+_DIFFUSION = np.diag([1] * 4 + [2] * 4)  # over the values (cavity, mechanics)
 
 
 def build_drift(m: ModelParams) -> np.ndarray:
     """Assemble the 8x8 drift matrix of the linearized quadrature dynamics
     (a stack (..., 8, 8) for a model with array fields)."""
     a, b, c, s = coupling_coefficients(m)
-    k2 = -m.kappa / 2.0
-    g2 = -m.gamma / 2.0
-    return _assemble(
-        [
-            [k2, _0, c, s, _0, -a, _0, _0],
-            [_0, k2, s, -c, b, _0, _0, _0],
-            [c, s, k2, _0, _0, _0, _0, -a],
-            [s, -c, _0, k2, _0, _0, b, _0],
-            [_0, -a, _0, _0, g2, _0, _0, _0],
-            [b, _0, _0, _0, _0, g2, _0, _0],
-            [_0, _0, _0, -a, _0, _0, g2, _0],
-            [_0, _0, b, _0, _0, _0, _0, g2],
-        ],
-        a, b, c, s, k2, g2,
-    )
+    return _fill(_DRIFT, -m.kappa / 2.0, -m.gamma / 2.0, c, s, -c, -a, b)
 
 
 def split_sectors(x: np.ndarray) -> np.ndarray:
@@ -109,6 +106,23 @@ def split_sectors(x: np.ndarray) -> np.ndarray:
     return (a + _SECTOR_SIGNS * b).reshape(*x.shape[:-2], 2, 4, 4)
 
 
+def split_drift(w: np.ndarray) -> np.ndarray:
+    """`split_sectors` of a drift (or a stack) that `build_drift`'s template,
+    filled with its own entries, rebuilds exactly; any other raises
+    ValueError.  Its W_+ has the whole spectrum: W_+- = [[k2 I +- P, C],
+    [C, g2 I]] with P the pump and C the cavity-mechanics block, so
+    W_- = T W_+ T^-1 for T = diag(R, C^-1 R C), R the quarter-turn of the
+    cavity quadratures (R P R^-1 = -P, C^2 = -ab I); by continuity where
+    det C = 0."""
+    sectors = split_sectors(w)
+    w = np.asarray(w, dtype=float)
+    c = w[..., 0, 2]
+    values = (w[..., 0, 0], w[..., 4, 4], c, w[..., 0, 3], -c, w[..., 0, 5], w[..., 1, 4])
+    if not (_fill(_DRIFT, *values) == w).all():
+        raise ValueError("drift is not of the model's form")
+    return sectors
+
+
 def join_sectors(sectors: np.ndarray) -> np.ndarray:
     """The 8x8 matrix (or stack) whose sectors are `sectors` (..., 2, 4, 4):
     the inverse of `split_sectors`, with pair blocks A = (S_+ + S_-)/2 and
@@ -130,10 +144,7 @@ def build_diffusion(m: ModelParams) -> np.ndarray:
     stack for a model with array fields)."""
     cav = m.kappa * (m.n_c + 0.5)
     mech = m.gamma * (m.n_m + 0.5)
-    diagonal = [cav] * 4 + [mech] * 4
-    return _assemble(
-        [[x if i == j else _0 for j in range(8)] for i, x in enumerate(diagonal)], cav, mech
-    )
+    return _fill(_DIFFUSION, cav, mech)
 
 
 def initial_covariance(m: ModelParams) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .matrices import QUADRATURES, require_symmetric, symplectic_form
+from .matrices import require_symmetric, symplectic_form
 
 TWO_MODE_SHOT_NOISE = 1.0
 COHERENT_BOUND = math.log(2.0)
@@ -38,7 +38,6 @@ class CollectiveVariances:
 @dataclass(frozen=True)
 class NegativityResult:
     pair: str  # cc (cavity modes) or mm (mechanical modes)
-    nu_tilde_minus: float
     e_n: float
 
 
@@ -74,12 +73,6 @@ def squeezing_db(variance: float) -> float:
     if np.any(variance <= 0):
         raise ValueError("variance must be > 0")
     return _plain(-10.0 * np.log10(variance / TWO_MODE_SHOT_NOISE))
-
-
-def single_mode_variances(sigma: np.ndarray) -> dict[str, float]:
-    """Diagonal variances labeled by quadrature; < 1/2 means squeezed."""
-    sigma = _symmetric(sigma)
-    return {label: float(sigma[i, i]) for i, label in enumerate(QUADRATURES)}
 
 
 def log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
@@ -129,9 +122,7 @@ def _log_negativity(sigma: np.ndarray, pair: str) -> NegativityResult:
     if np.any(nu == 0.0):
         raise ValueError("math domain error")  # log(0), worded as math.log words it
     e_n = -np.log(2.0 * nu)
-    return NegativityResult(
-        pair=pair, nu_tilde_minus=_plain(nu), e_n=_plain(np.where(e_n > 0.0, e_n, 0.0))
-    )
+    return NegativityResult(pair=pair, e_n=_plain(np.where(e_n > 0.0, e_n, 0.0)))
 
 
 def physicality_check(sigma: np.ndarray, tol: float = 1e-9) -> bool:

@@ -5,9 +5,11 @@ The drift splits exactly into a sum and a difference sector, W_+ (+) W_-
 same quartic, with coefficients that do not involve the pump phase: that
 is why the 8x8 characteristic polynomial is a perfect square.  The
 analysis runs two independent routes: closed-form Hurwitz minors of that
-quartic, and a dense eigensolve of the two sectors.  `analyze` reports
-both for one model; a sweep pairs the minors of a model with array fields
-(one verdict per row) with the spectra of `lyapunov.solve_stable`.
+quartic, and a dense eigensolve.  `analyze` reports both for one model,
+with the eigenvalues of both sectors.  A sweep takes the minors of a model
+with array fields first (one verdict per row), and `lyapunov.solve_stable`
+eigensolves only the rows they pass, and only W_+, since W_- = T W_+ T^-1
+(`matrices.split_drift`).
 """
 
 from __future__ import annotations

@@ -3,18 +3,19 @@
 The grid is evaluated in row-major stacks of `BATCH` points, each as
 columns: the axis values of the stack go through `apply_overrides`,
 `derive_model`, `build_drift` and `build_diffusion` as arrays, with the
-bits of the scalar calls.  `lyapunov.solve_stable` then eigensolves the
-stack's sectors once, gates every row by that spectrum and the
-Routh-Hurwitz minors, and solves the rows that pass; `metric_row`
-evaluates them.  A stack whose evaluation raises anywhere (a row that
-fails validation, a square that overflows, a failed solve) is split in
-halves and each is evaluated again, down to single rows, which go
-through the scalar calls: one bad point is one error row with its own
-"{Type}: {message}".  The stacks go to one thread per CPU the process may
-run on, the caller's among them (`_evaluate_stacks`), where the two LAPACK
-kernels of a stack, the eigensolve and the solve, run without the
-interpreter lock.  Each stack writes only its own rows, so neither the
-stack size nor the thread count changes a result.
+bits of the scalar calls.  `lyapunov.solve_stable` then gates every row
+cheapest first, by the Routh-Hurwitz minors and then, for the rows they
+pass, by one eigensolve of W_+, whose spectrum is W's, and solves the rows
+that pass both; `metric_row` evaluates them.  A stack whose evaluation
+raises anywhere (a row that fails validation, a square that overflows, a
+failed solve) is split in halves and each is evaluated again, down to
+single rows, which go through the scalar calls: one bad point is one
+error row with its own "{Type}: {message}".  The stacks go to one thread
+per CPU the process may run on, the caller's among them
+(`_evaluate_stacks`), where the two LAPACK kernels of a stack, the
+eigensolve and the solve, run without the interpreter lock.  Each stack
+writes only its own rows, so neither the stack size nor the thread count
+changes a result.
 
 A `SweepResult` holds one float array per metric, the stable mask and the
 per-row error texts; its `grid` of `GridPoint` views is built only when
@@ -295,7 +296,7 @@ class GridPoint:
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep as columns, row-major over the grid: the axis values, one
-    float array per metric column (NaN where a row has no metrics), the
+    float array per metric column (NaN in every row that is not stable), the
     stable mask and the error text of each row (None where it has none)."""
 
     spec: SweepSpec
@@ -326,17 +327,22 @@ class SweepResult:
         }
 
     def write_csv(self, path) -> None:
-        """Write the rows as CSV, BATCH rows at a time, one %-format per row."""
+        """Write the rows as CSV, BATCH rows at a time, one %-format per row;
+        an unstable row, NaN in every metric cell, ends in one constant tail."""
         axis_names = list(self.axes)
         columns = axis_names + list(self.spec.outputs) + ["stable", "physical"]
         arrays = [self.axes[n] for n in axis_names] + [self.columns[n] for n in self.spec.outputs]
         arrays += [self.stable, self.columns["physical"]]
         row_format = ",".join(["%.12g"] * (len(arrays) - 2) + ["%d", "%.12g"]) + "\n"
+        axis_format = ",".join(["%.12g"] * len(axis_names))
+        unstable_tail = ",nan" * len(self.spec.outputs) + ",0,nan\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")
             for start in range(0, len(self.stable), BATCH):
-                cells = (values[start:start + BATCH].tolist() for values in arrays)
-                fh.writelines(row_format % row for row in zip(*cells))
+                cells = zip(*(values[start:start + BATCH].tolist() for values in arrays))
+                fh.writelines(row_format % row if row[-2] else
+                              axis_format % row[:len(axis_names)] + unstable_tail
+                              for row in cells)
 
 
 def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarray,

@@ -17,7 +17,7 @@ from omsqueeze import (
     run_sweep,
     symplectic_form,
 )
-from omsqueeze.matrices import MODE_1, MODE_2
+from omsqueeze.matrices import MODE_1, MODE_2, QUADRATURES, require_symmetric
 from omsqueeze.metrics import PAIR_INDICES, squeezing_db
 
 settings.register_profile(
@@ -205,6 +205,25 @@ def squeezing_result(quadrature: str, variance: float) -> SqueezingResult:
     return SqueezingResult(
         quadrature=quadrature, variance=variance, db=db, beats_3db=db > THREE_DB
     )
+
+
+def single_mode_variances(sigma):
+    """Diagonal variances labeled by quadrature; < 1/2 means squeezed."""
+    sigma = np.asarray(sigma, dtype=float)
+    require_symmetric(sigma)
+    return {label: float(sigma[i, i]) for i, label in enumerate(QUADRATURES)}
+
+
+def nu_tilde_minus(sigma, pair):
+    """The smaller symplectic eigenvalue of the partially transposed
+    two-mode block, by the determinant form of `log_negativity`: nu~_-^2 is
+    the smaller root of x^2 - delta x + det, taken as det over the larger."""
+    idx = list(PAIR_INDICES[pair])
+    block = np.asarray(sigma)[np.ix_(idx, idx)]
+    det = np.linalg.det
+    delta = det(block[:2, :2]) + det(block[2:, 2:]) - 2.0 * det(block[:2, 2:])
+    root = math.sqrt(max(delta * delta - 4.0 * det(block), 0.0))
+    return math.sqrt(2.0 * det(block) / (delta + root))
 
 
 def min_physicality_eigenvalue(sigma):

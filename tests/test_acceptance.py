@@ -28,7 +28,6 @@ from omsqueeze import (
     metric_row,
     paper_base,
     rhsc_check,
-    single_mode_variances,
     solve_lyapunov,
     symplectic_form,
 )
@@ -39,6 +38,7 @@ from conftest import (
     model,
     quartic_eigenvalues,
     random_models,
+    single_mode_variances,
 )
 
 THREE_DB_LINE = 3.0103

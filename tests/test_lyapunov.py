@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import block_diag, solve_continuous_lyapunov
 
 from omsqueeze import (
     UnstableSystemError,
@@ -11,6 +11,7 @@ from omsqueeze import (
     build_diffusion,
     build_drift,
     derive_model,
+    drift_eigenvalues,
     figure_preset,
     initial_covariance,
     metric_row,
@@ -21,8 +22,8 @@ from omsqueeze import (
 )
 
 from omsqueeze.lyapunov import _symmetric_operator, solve_stable
-from omsqueeze.matrices import MODE_1, MODE_2, split_sectors
-from omsqueeze.stability import MARGINAL_BAND
+from omsqueeze.matrices import MODE_1, MODE_2, split_drift, split_sectors
+from omsqueeze.stability import MARGINAL_BAND, rhsc_check
 
 from conftest import (
     ORACLE_FACTOR,
@@ -32,7 +33,9 @@ from conftest import (
     exchange_symmetric,
     kronecker_lyapunov,
     kronecker_sector_operator,
+    match_eigenvalue_sets,
     model,
+    quartic_eigenvalues,
     random_models,
 )
 
@@ -166,8 +169,9 @@ class TestSolveLyapunov:
 
 class TestPrecheck:
     def test_one_eigensolve_per_call(self, appendix_c_model, monkeypatch):
-        """One eigensolve of the sectors and one linear solve of the two
-        sector systems per call, for one drift and for a stack of them."""
+        """One eigensolve of W_+, whose spectrum is the drift's, and one
+        linear solve of the two sector systems per call, for one drift and
+        for a stack of them."""
         calls = []
         eigvals, solve = np.linalg.eigvals, np.linalg.solve
 
@@ -183,10 +187,10 @@ class TestPrecheck:
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         solve_lyapunov(w, d)
-        assert calls == [("eigvals", (2, 4, 4)), ("solve", (2, 10, 10))]
+        assert calls == [("eigvals", (4, 4)), ("solve", (2, 10, 10))]
         calls.clear()
         solve_lyapunov(np.stack([w] * 5), np.stack([d] * 5))
-        assert calls == [("eigvals", (5, 2, 4, 4)), ("solve", (5, 2, 10, 10))]
+        assert calls == [("eigvals", (5, 4, 4)), ("solve", (5, 2, 10, 10))]
 
     def test_one_unstable_matrix_rejects_the_stack(self, appendix_c_model):
         stable = build_drift(appendix_c_model)
@@ -399,3 +403,89 @@ class TestStabilityGateIntegration:
         d = build_diffusion(appendix_c_model)
         sigma0 = initial_covariance(appendix_c_model)
         assert residual(w, d, sigma0) > 1.0
+
+
+class TestOneSectorSpectrum:
+    """The gate and the precheck eigensolve W_+ alone, whose spectrum is the
+    drift's with each eigenvalue taken once (`matrices.split_drift`)."""
+
+    @staticmethod
+    def _check(m, tol):
+        w = build_drift(m)
+        plus = np.linalg.eigvals(split_drift(w)[0])
+        match_eigenvalue_sets(np.repeat(plus, 2), drift_eigenvalues(w), tol)
+        match_eigenvalue_sets(plus, quartic_eigenvalues(m), tol)
+
+    def test_random_models(self):
+        for m in random_models(40, seed=20251019):
+            self._check(m, tol=1e-8)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -2.3])
+    def test_near_the_thresholds(self, gap, phi):
+        """Lambda -> kappa/2 and G+ -> G-, from both sides."""
+        for sign in (-1.0, 1.0):
+            self._check(model(0.3, 0.1, 0.5 + sign * gap, phi), tol=1e-8)
+            self._check(model(0.3, 0.3 * (1.0 + sign * gap), 0.2, phi), tol=1e-8)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 2.5, -1.1])
+    def test_difference_sector_is_similar_to_the_sum_sector(self, phi):
+        """W_- = T W_+ T^-1 with T = diag(R, C^-1 R C): R the quarter-turn of
+        the cavity quadratures, C the cavity-mechanics block of W_+."""
+        w_plus, w_minus = split_drift(build_drift(model(0.3, 0.1, 0.4, phi)))
+        quarter_turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+        c = w_plus[:2, 2:]
+        t = block_diag(quarter_turn, np.linalg.inv(c) @ quarter_turn @ c)
+        np.testing.assert_allclose(t @ w_plus @ np.linalg.inv(t), w_minus, rtol=0, atol=1e-15)
+
+    def test_condition_estimate_equals_the_two_sector_one(self):
+        for m, _ in random_models(20, seed=20251020, stable=True):
+            eigenvalues = drift_eigenvalues(build_drift(m))
+            sums = np.abs(eigenvalues[:, None] + eigenvalues[None, :])
+            expected = sums.max() / sums.min()
+            got = solve_lyapunov(build_drift(m), build_diffusion(m)).condition_estimate
+            assert got == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("entries", [[(0, 0), (2, 2)], [(1, 3), (3, 1)], [(5, 0), (7, 2)]])
+    def test_pair_symmetric_drift_of_another_form_is_rejected(self, appendix_c_model, entries):
+        """A drift that splits but whose entries `build_drift`'s template does
+        not rebuild: a random pair-symmetric one, and the model's drift with
+        one template slot changed in both pairs."""
+        d = build_diffusion(appendix_c_model)
+        rng = np.random.default_rng(19)
+        random = exchange_symmetric(rng.uniform(-1, 1, (4, 4)) - 3.0 * np.eye(4),
+                                    rng.uniform(-0.1, 0.1, (4, 4)))
+        changed = build_drift(appendix_c_model)
+        for entry in entries:
+            changed[entry] += 1e-3
+        for w in (random, changed):
+            split_sectors(w)  # it splits
+            with pytest.raises(ValueError, match="model's form"):
+                solve_lyapunov(w, d)
+            # the stack is validated whole, whatever a row's gate
+            stack = np.stack([build_drift(appendix_c_model), w])
+            with pytest.raises(ValueError, match="model's form"):
+                solve_stable(stack, np.stack([d, d]), np.array([True, False]))
+
+
+class TestGateOrder:
+    def test_eigvals_sees_only_the_rows_rhsc_passes(self, monkeypatch):
+        models = random_models(40, seed=20251021)
+        w = np.stack([build_drift(m) for m in models])
+        d = np.stack([build_diffusion(m) for m in models])
+        hurwitz = np.array([rhsc_check(m)[3] for m in models])
+        assert 0 < hurwitz.sum() < len(models)
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def recording(a):
+            seen.append(np.array(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        stable, _ = solve_stable(w, d, hurwitz)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], split_sectors(w)[hurwitz, 0])
+        assert stable.tolist() == [analyze(m).stable for m in models]
+        stable, solution = solve_stable(w, d, np.zeros(len(models), dtype=bool))
+        assert not stable.any() and solution is None

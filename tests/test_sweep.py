@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omsqueeze import (
+    METRIC_COLUMNS,
     DirectCouplings,
     EmptySweepError,
     PowerDrive,
@@ -60,6 +61,35 @@ def mixed_grid_spec():
         coupling_mode="powers",
         name="mixed",
     )
+
+
+def threshold_grid_spec():
+    """Rows on both sides of the thresholds, which gamma moves to Lambda =
+    (kappa + gamma)/2 = 0.5000033335 kappa and (at Lambda = 0.3 kappa) to
+    G+/G- = 1.0000037044: stable rows, rows in the marginal band, which pass
+    the Routh-Hurwitz gate but not the spectral one, unstable rows, and
+    error rows (a negative pump gain)."""
+    return direct_spec(
+        base=coupling_base(g_minus_k=0.3, phi=0.6),
+        axes=(
+            SweepAxis.explicit("lambda_over_kappa",
+                               (-0.1, 0.3, 0.5, 0.500003333, 0.5000033335, 0.50000334, 0.6)),
+            SweepAxis.explicit("g_plus_over_g_minus",
+                               (0.5, 0.999, 1.0, 1.0000037, 1.00000371, 1.0000047, 1.2)),
+        ),
+    )
+
+
+def per_row_csv(result):
+    """The CSV of a result with one %-format per cell: the reference for
+    `SweepResult.write_csv`."""
+    axis_names, outputs = list(result.axes), list(result.spec.outputs)
+    lines = [",".join(axis_names + outputs + ["stable", "physical"])]
+    for i, stable in enumerate(result.stable.tolist()):
+        cells = [result.axes[n][i] for n in axis_names] + [result.columns[n][i] for n in outputs]
+        lines.append(",".join("%.12g" % c for c in cells)
+                     + ",%d,%.12g" % (stable, result.columns["physical"][i]))
+    return "\n".join(lines) + "\n"
 
 
 def sequential_overrides(params, overrides):
@@ -516,6 +546,20 @@ class TestRunSweep:
             if i != marked:
                 assert after == before
 
+    @pytest.mark.parametrize("policy", ["mark", "skip"])
+    @pytest.mark.parametrize("outputs", [METRIC_COLUMNS, ("en_mm", "s2_m_db")])
+    @pytest.mark.parametrize("name", ["mixed-grid", "threshold-grid"])
+    def test_csv_equals_one_format_per_cell(self, name, outputs, policy, tmp_path):
+        """Stable, unstable and error rows, all outputs or some, marked or
+        skipped: the lines of unstable rows, written as a constant tail,
+        are the bytes of the per-cell format."""
+        spec = {"mixed-grid": mixed_grid_spec, "threshold-grid": threshold_grid_spec}[name]()
+        result = run_sweep(replace(spec, outputs=outputs, unstable_policy=policy))
+        assert result.stable.any() and (policy == "skip") == result.stable.all()
+        path = tmp_path / "grid.csv"
+        result.write_csv(path)
+        assert path.read_bytes() == per_row_csv(result).encode()
+
     def test_csv_layout(self, tmp_path):
         spec = direct_spec(
             axes=(SweepAxis.explicit("g_plus_over_g_minus", (0.5, 1.1)),),
@@ -601,8 +645,61 @@ class TestColumnarFrontEnd:
         assert result.stable.any() and not result.stable.all()
         self._check(spec, result, np.arange(spec.grid_size()))
 
+    def test_threshold_grid_equals_the_scalar_calls(self, monkeypatch):
+        """Across both thresholds, with error rows in the stacks, each row's
+        flag is `analyze`'s but one's.  The sweep eigensolves W_+ alone and
+        `analyze` both sectors, whose computed spectra differ by rounding; at
+        Lambda = 0.500003333 kappa, G+/G- = 0.999, W_+'s abscissa is just
+        stable and W_-'s just inside the marginal band, so there the sweep
+        finds the row stable and `analyze` marginal."""
+        import omsqueeze.sweep as sweep_module
+        from omsqueeze.matrices import split_sectors
+        from omsqueeze.stability import MARGINAL_BAND, analyze
+
+        spec = threshold_grid_spec()
+        assignments = spec.assignments()
+        edge = assignments.index({"lambda_over_kappa": 0.500003333, "g_plus_over_g_minus": 0.999})
+        single = derive_model(apply_overrides(as_direct_drive(spec.base), assignments[edge]))
+        report = analyze(single)
+        assert report.rhsc_stable and report.marginal
+        w_plus, w_minus = split_sectors(build_drift(single))
+        abscissa_plus = np.linalg.eigvals(w_plus).real.max()
+        assert abscissa_plus < -MARGINAL_BAND <= np.linalg.eigvals(w_minus).real.max()
+        for batch in (512, 5):
+            monkeypatch.setattr(sweep_module, "BATCH", batch)
+            result = run_sweep(spec)
+            assert sum(e is not None for e in result.errors) == 7
+            assert 0 < result.stable.sum() < 42
+            assert result.stable[edge] and result.errors[edge] is None
+            self._check(spec, result, np.delete(np.arange(spec.grid_size()), edge))
+
+    def test_eigensolves_only_the_rows_rhsc_passes(self, monkeypatch):
+        """The stacks' eigensolves hold one row per valid row whose
+        Routh-Hurwitz minors are positive."""
+        from omsqueeze.stability import rhsc_check
+
+        rows = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            rows.append(len(a))
+            return eigvals(a)
+
+        spec = threshold_grid_spec()
+        base = as_direct_drive(spec.base)
+        passed = 0
+        for overrides in spec.assignments():
+            try:
+                passed += bool(rhsc_check(derive_model(apply_overrides(base, overrides)))[3])
+            except ValueError:
+                pass
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        stable = run_sweep(spec).stable.sum()
+        assert 0 < stable < passed < spec.grid_size() - 7  # marginal rows pass RHSC only
+        assert sum(rows) == passed
+
     def test_one_eigensolve_per_stack(self, monkeypatch):
-        """The stack's sector spectrum serves both the gate and the solve."""
+        """The stack's W_+ spectrum serves both the gate and the solve."""
         import omsqueeze.sweep as sweep_module
 
         shapes = []
@@ -616,7 +713,7 @@ class TestColumnarFrontEnd:
         monkeypatch.setattr(sweep_module, "BATCH", 64)
         run_sweep(figure_preset("fig7a"))  # 201 stable points
         # worker threads reach eigvals in any order
-        assert sorted(shapes) == [(9, 2, 4, 4)] + [(64, 2, 4, 4)] * 3
+        assert sorted(shapes) == [(9, 4, 4)] + [(64, 4, 4)] * 3
 
 
 class TestFindOptimum:
