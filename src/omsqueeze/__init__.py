@@ -32,12 +32,7 @@ from .matrices import (
 from .metrics import (
     COHERENT_BOUND,
     METRIC_COLUMNS,
-    CollectiveVariances,
-    NegativityResult,
-    collective_variances,
-    log_negativity,
     metric_row,
-    physicality_check,
     squeezing_db,
 )
 from .params import (

@@ -182,7 +182,7 @@ def cmd_steady(args) -> int:
     report = analyze(model)
     _require_stable(report)
     solution = solve_lyapunov(build_drift(model), build_diffusion(model))
-    metrics = metric_row(solution.sigma)
+    metrics = metric_row(solution.sectors)
     print(f"Lyapunov residual: {_fmt(solution.residual_norm)}")
     for line in _metrics_lines(metrics):
         print(line)

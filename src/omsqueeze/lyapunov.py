@@ -4,15 +4,14 @@ Solves W sigma + sigma W^T = -D in the sum/difference quadratures, where
 the drift and the diffusion are block diagonal, W = W_+ (+) W_- and
 D = D_+ (+) D_- (`matrices.split_sectors`), and so is the steady state.
 Each sigma_s is symmetric, so each sector is a 10x10 system in the upper
-triangle of sigma_s (of the symmetric part of D_s), and
-`matrices.join_sectors` rotates sigma_+ (+) sigma_- back.  A W not of
+triangle of sigma_s (of the symmetric part of D_s).  sigma stays in that
+form, (..., 2, 4, 4), for `metrics.metric_row`, with the residual taken
+per sector (the rotation keeps Frobenius norms); the 8x8 sigma
+(`matrices.join_sectors`) is built only when read.  A W not of
 `build_drift`'s form, or a D that does not split, raises ValueError.  W and
 D may be stacks (..., 8, 8), each matrix solved as it would be alone.  The
 stability decision and the condition estimate take one eigensolve of W_+,
-whose spectrum is W's (W_- = T W_+ T^-1, `matrices.split_drift`):
-`solve_lyapunov` rejects any drift that `stability.spectral_verdict` does
-not call stable, and `solve_stable` eigensolves only the drifts that pass
-the Routh-Hurwitz gate and solves those that pass both.
+whose spectrum is W's (W_- = T W_+ T^-1, `matrices.split_drift`).
 """
 
 from __future__ import annotations
@@ -28,16 +27,23 @@ from .stability import MARGINAL_BAND, spectral_verdict
 
 @dataclass(frozen=True)
 class LyapunovSolution:
-    sigma: np.ndarray  # (..., n, n) like W
+    sectors: np.ndarray  # (..., 2, 4, 4): sigma_+ and sigma_- of each drift
     residual_norm: float  # ||W s + s W^T + D||_F / ||D||_F; a stack's worst
     condition_estimate: float  # a stack's worst
     residuals: np.ndarray  # (...) residual of each matrix of a stack
     conditions: np.ndarray  # (...) condition estimate of each matrix
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """The 8x8 steady state, joined when read (+ 0.0: a zero's sign follows pivots)."""
+        return join_sectors(self.sectors) + 0.0
+
 
 def _residuals(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    r = w @ sigma + sigma @ w.swapaxes(-1, -2) + d
-    return np.linalg.norm(r, axis=(-2, -1)) / np.linalg.norm(d, axis=(-2, -1))
+    r = w @ sigma + sigma @ np.ascontiguousarray(w.swapaxes(-1, -2)) + d
+    axes = 3 if r.shape[-3:] == (2, 4, 4) else 2  # sectors: their norms add in squares
+    r, d = (x.reshape(*x.shape[:-axes], -1) for x in (r, d))
+    return np.sqrt(np.einsum("...i,...i", r, r) / np.einsum("...i,...i", d, d))
 
 
 def residual(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> float:
@@ -82,24 +88,23 @@ def _split(w, d):
     d = np.asarray(d, dtype=float)
     if w.ndim < 2 or w.shape[-2] != w.shape[-1] or d.shape != w.shape:
         raise ValueError("drift and diffusion matrices must be square and congruent")
-    return w, d, split_drift(w), split_sectors(d)
+    return split_drift(w), split_sectors(d)
 
 
-def _solve(w, d, sectors, d_sectors, eigenvalues) -> LyapunovSolution:
+def _solve(sectors, d_sectors, eigenvalues) -> LyapunovSolution:
     rhs = -(d_sectors[..., _UPPER[0], _UPPER[1]] + d_sectors[..., _UPPER[1], _UPPER[0]]) / 2.0
     try:
         upper = np.linalg.solve(_symmetric_operator(sectors), rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ThresholdError(f"sector Lyapunov system is singular: {exc}") from exc
-    # + 0.0 turns -0.0 into 0.0: the sign of an exact zero follows the pivots
-    sigma = join_sectors(upper[..., _SYMMETRIC]) + 0.0
+    sigma = upper[..., _SYMMETRIC]
 
     # W_+'s spectrum is W's, each eigenvalue once: the same pairwise sums
     sums = np.abs(eigenvalues[..., :, None] + eigenvalues[..., None, :])
     conditions = np.max(sums, axis=(-2, -1)) / np.min(sums, axis=(-2, -1))
-    residuals = _residuals(w, d, sigma)
+    residuals = _residuals(sectors, d_sectors, sigma)
     return LyapunovSolution(
-        sigma=sigma,
+        sectors=sigma,
         residual_norm=float(np.max(residuals)),
         condition_estimate=float(np.max(conditions)),
         residuals=residuals,
@@ -116,7 +121,7 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
     drift, and words its rejection, by `stability.spectral_verdict` of the
     largest real part over the whole stack.
     """
-    w, d, sectors, d_sectors = _split(w, d)
+    sectors, d_sectors = _split(w, d)
     eigenvalues = np.linalg.eigvals(sectors[..., 0, :, :])  # W_+
     spectral_abscissa = float(np.max(eigenvalues.real))
     kind = spectral_verdict(spectral_abscissa)
@@ -125,7 +130,7 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
             f"drift is {kind}: spectral abscissa {spectral_abscissa:.3e} fails the "
             f"strict-stability precheck (required < -{MARGINAL_BAND:.0e})"
         )
-    return _solve(w, d, sectors, d_sectors, eigenvalues)
+    return _solve(sectors, d_sectors, eigenvalues)
 
 
 def solve_stable(
@@ -137,12 +142,11 @@ def solve_stable(
     stable.  Returns that mask and the solution of the drifts it selects,
     in order (None if it selects none).  The whole stack is validated, but
     only the drifts that `rhsc_stable` passes are eigensolved."""
-    w, d, sectors, d_sectors = _split(w, d)
+    sectors, d_sectors = _split(w, d)
     stable = np.array(rhsc_stable, dtype=bool)  # narrowed to the spectrum's verdict
     eigenvalues = np.linalg.eigvals(sectors[stable, 0])  # W_+
     passed = spectral_verdict(eigenvalues.real.max(axis=-1)) == "stable"
     stable[stable] = passed
     if not stable.any():
         return stable, None
-    return stable, _solve(w[stable], d[stable], sectors[stable], d_sectors[stable],
-                          eigenvalues[passed])
+    return stable, _solve(sectors[stable], d_sectors[stable], eigenvalues[passed])

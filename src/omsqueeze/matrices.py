@@ -13,7 +13,8 @@ diffusion split exactly into two 4x4 sectors, W_+ (+) W_- and D_+ (+) D_-.
 This module is the only one that knows that basis: `split_sectors` reads
 the sectors off by index arithmetic, `split_drift` also checks that a drift
 has the model's form, for which W_- is similar to W_+, `join_sectors`
-rotates them back, and the solvers work on the sectors in between.
+rotates them back, `pair_blocks` gives the 8x8 entries of either form, and
+the solvers and the metrics work on the sectors in between.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ QUADRATURES = ("x_c1", "y_c1", "x_c2", "y_c2", "x_d1", "y_d1", "x_d2", "y_d2")
 # Quadratures of each cavity-mechanics pair, in the order of a 4x4 sector.
 MODE_1 = np.array([0, 1, 4, 5])
 MODE_2 = np.array([2, 3, 6, 7])
-_SECTOR_SIGNS = np.array([1.0, -1.0]).reshape(2, 1)  # A + B, A - B
+_SECTOR_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # A + B, A - B
 
 
 def _positions(rows, columns):
@@ -85,25 +86,30 @@ def build_drift(m: ModelParams) -> np.ndarray:
     return _fill(_DRIFT, -m.kappa / 2.0, -m.gamma / 2.0, c, s, -c, -a, b)
 
 
-def split_sectors(x: np.ndarray) -> np.ndarray:
-    """The sum and difference sectors of an 8x8 matrix (or a stack), as
-    (..., 2, 4, 4): [..., 0, :, :] is S_+ and [..., 1, :, :] is S_-.
-
-    With A the pair-1 block and B the pair-1 <- pair-2 block, a matrix that
-    is symmetric under the pair exchange (pair-2 blocks equal to A and B
-    exactly, as `build_drift` and `build_diffusion` place them) splits as
-    S_+ = A + B and S_- = A - B in the quadratures (q_1 +- q_2)/sqrt(2),
-    ordered as MODE_1.  Any other matrix raises ValueError.
-    """
+def pair_blocks(x: np.ndarray) -> np.ndarray:
+    """The pair-1 blocks [A, B] (..., 2, 4, 4) of an 8x8 matrix (or a stack)
+    whose pair-2 blocks equal them exactly (any other raises ValueError), or
+    A, B = (S_+ +- S_-)/2 of sectors (..., 2, 4, 4), as `join_sectors` places them."""
     x = np.asarray(x, dtype=float)
+    if x.shape[-3:] == (2, 4, 4):
+        return (x[..., :1, :, :] + _SECTOR_SIGNS * x[..., 1:, :, :]) / 2.0
     if x.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {x.shape}")
     flat = x.reshape(*x.shape[:-2], 64)
     pair_1 = flat[..., _PAIR_1]
     if not (flat[..., _PAIR_2] == pair_1).all():  # [X_22, X_21] == [X_11, X_12]
         raise ValueError("matrix does not split into sum and difference sectors")
-    a, b = pair_1[..., None, :16], pair_1[..., None, 16:]
-    return (a + _SECTOR_SIGNS * b).reshape(*x.shape[:-2], 2, 4, 4)
+    return pair_1.reshape(*x.shape[:-2], 2, 4, 4)
+
+
+def split_sectors(x: np.ndarray) -> np.ndarray:
+    """The sum and difference sectors (..., 2, 4, 4), S_+ = A + B and
+    S_- = A - B in the quadratures (q_1 +- q_2)/sqrt(2) ordered as MODE_1, of
+    an 8x8 matrix (or a stack) whose `pair_blocks` are A and B."""
+    if np.shape(x)[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix, got {np.shape(x)}")
+    blocks = pair_blocks(x)
+    return blocks[..., :1, :, :] + _SECTOR_SIGNS * blocks[..., 1:, :, :]
 
 
 def split_drift(w: np.ndarray) -> np.ndarray:
@@ -130,13 +136,11 @@ def join_sectors(sectors: np.ndarray) -> np.ndarray:
     s = np.asarray(sectors, dtype=float)
     if s.shape[-3:] != (2, 4, 4):
         raise ValueError(f"expected (..., 2, 4, 4) sectors, got {s.shape}")
-    s = s.reshape(*s.shape[:-3], 2, 16)
-    pair_1 = np.concatenate([s[..., 0, :] + s[..., 1, :], s[..., 0, :] - s[..., 1, :]], axis=-1)
-    pair_1 /= 2.0
-    out = np.empty((*s.shape[:-2], 64))
+    pair_1 = pair_blocks(s).reshape(*s.shape[:-3], 32)
+    out = np.empty((*s.shape[:-3], 64))
     out[..., _PAIR_1] = pair_1
     out[..., _PAIR_2] = pair_1
-    return out.reshape(*s.shape[:-2], 8, 8)
+    return out.reshape(*s.shape[:-3], 8, 8)
 
 
 def build_diffusion(m: ModelParams) -> np.ndarray:
@@ -162,12 +166,16 @@ def symplectic_form(n_modes: int = 4) -> np.ndarray:
 
 
 def require_symmetric(sigma: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise if sigma (or any matrix of a stack) is not symmetric to within
-    tol (Frobenius norm)."""
+    """Raise if sigma, an 8x8 matrix or its sectors (..., 2, 4, 4), or any
+    of a stack, is not symmetric to within tol (Frobenius norm)."""
     sigma = np.asarray(sigma)
-    if sigma.shape[-2:] != (8, 8):
+    sectors = sigma.shape[-3:] == (2, 4, 4)
+    if sigma.shape[-2:] != (8, 8) and not sectors:
         raise ValueError(f"expected an 8x8 covariance matrix, got {sigma.shape}")
-    if not np.all(np.linalg.norm(sigma - sigma.swapaxes(-1, -2), axis=(-2, -1)) <= tol):
+    asymmetry = sigma - sigma.swapaxes(-1, -2)
+    if sectors:  # the rotation to the sectors keeps the norm
+        asymmetry = asymmetry.reshape(*sigma.shape[:-3], 8, 4)
+    if not np.all(np.linalg.norm(asymmetry, axis=(-2, -1)) <= tol):
         raise ValueError(f"covariance matrix asymmetric beyond {tol}")
 
 

@@ -6,13 +6,16 @@ columns: the axis values of the stack go through `apply_overrides`,
 bits of the scalar calls.  `lyapunov.solve_stable` then gates every row
 cheapest first, by the Routh-Hurwitz minors and then, for the rows they
 pass, by one eigensolve of W_+, whose spectrum is W's, and solves the rows
-that pass both; `metric_row` evaluates them.  A stack whose evaluation
-raises anywhere (a row that fails validation, a square that overflows, a
-failed solve) is split in halves and each is evaluated again, down to
-single rows, which go through the scalar calls: one bad point is one
-error row with its own "{Type}: {message}".  The stacks go to one thread
-per CPU the process may run on, the caller's among them
-(`_evaluate_stacks`), where the two LAPACK kernels of a stack, the
+that pass both; `metric_row` evaluates their steady states in the sector
+form sigma_+ (+) sigma_- of the solve, never joined into 8x8 matrices.  The
+whole stack runs under one floating-point error state, so a row's outcome
+does not depend on the warning filter.  A stack whose evaluation raises
+anywhere (a row that fails validation, a square that overflows, a failed
+solve, a metric that is not finite) is split in halves and each is
+evaluated again, down to single rows, which go through the scalar calls:
+one bad point is one error row with its own "{Type}: {message}".  The
+stacks go to one thread per CPU the process may run on, the caller's among
+them (`_evaluate_stacks`), where the two LAPACK kernels of a stack, the
 eigensolve and the solve, run without the interpreter lock.  Each stack
 writes only its own rows, so neither the stack size nor the thread count
 changes a result.
@@ -347,13 +350,8 @@ class SweepResult:
 
 def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarray,
               out: tuple) -> None:
-    """Fill in `rows` of the sweep's (columns, stable, errors) in `out`.
-
-    Many rows go through the array calls as one stack; a row alone goes
-    through the scalar calls, which raise its own error.  A stack whose
-    evaluation raises is split in halves, each evaluated again, so one bad
-    point is one error row.
-    """
+    """Fill in `rows` of the sweep's (columns, stable, errors) in `out`, as
+    one stack, or halved when it raises (see the module docstring)."""
     columns, stable, errors = out
     try:
         with np.errstate(all="ignore"):  # arrays overflow to inf, as floats do
@@ -364,8 +362,8 @@ def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarra
             w = np.broadcast_to(build_drift(model), (rows.size, 8, 8))
             d = np.broadcast_to(build_diffusion(model), (rows.size, 8, 8))
             hurwitz = np.broadcast_to(hurwitz, rows.shape)
-        gate, solution = solve_stable(w, d, hurwitz)
-        metrics = metric_row(solution.sigma) if solution is not None else {}
+            gate, solution = solve_stable(w, d, hurwitz)
+            metrics = metric_row(solution.sectors) if solution is not None else {}
     except Exception as exc:  # a failed stack is split; a failed point is recorded
         if len(rows) == 1:
             errors[rows[0]] = f"{type(exc).__name__}: {exc}"
@@ -429,11 +427,7 @@ def _evaluate_stacks(base: PhysicalParams, axes: dict[str, np.ndarray], size: in
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid point and locate the optimum of each output.
-
-    The grid is evaluated in row-major stacks of `BATCH` points, on one
-    thread per CPU.
-    """
+    """Evaluate every grid point and locate the optimum of each output."""
     base = spec.base
     if spec.coupling_mode == "direct":
         base = as_direct_drive(base)

@@ -1,6 +1,7 @@
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +13,20 @@ from omsqueeze import (
     appendix_c_params,
     derive_model,
     figure_preset,
-    log_negativity,
+    metric_row,
     rhsc_coefficients,
     run_sweep,
     symplectic_form,
 )
-from omsqueeze.matrices import MODE_1, MODE_2, QUADRATURES, require_symmetric
-from omsqueeze.metrics import PAIR_INDICES, squeezing_db
+from omsqueeze.matrices import MODE_1, MODE_2, QUADRATURES, join_sectors, require_symmetric
+from omsqueeze.metrics import (
+    PAIR_INDICES,
+    _log_negativity,
+    _plain,
+    _positive_pivots,
+    _symmetric,
+    squeezing_db,
+)
 
 settings.register_profile(
     "ci",
@@ -167,6 +175,18 @@ def kronecker_sector_operator(sectors):
     return op.reshape(*sectors.shape[:-2], 16, 16)
 
 
+def log_negativity(sigma, pair):
+    """E_N of one pair ("cc" or "mm") of an 8x8 sigma by `metric_row`'s 8x8
+    kernel, whatever the other pair."""
+    return _log_negativity(_symmetric(sigma), pair)
+
+
+def physicality_check(sigma, tol=1e-9):
+    """`metric_row`'s 8x8 physicality kernel: True iff sigma + (i/2) Omega is
+    positive semidefinite within tol (a bool array for a stack)."""
+    return _plain(_positive_pivots(np.moveaxis(_symmetric(sigma), (-2, -1), (0, 1)), tol))
+
+
 def vidal_werner_negativity(sigma, pair):
     """E_N = sum over nu~ < 1/2 of -log(2 nu~) (Vidal-Werner, PRA 65, 032314)
     and the nu~: the symplectic eigenvalues of the partially transposed
@@ -181,15 +201,41 @@ def vidal_werner_negativity(sigma, pair):
 
 
 def assert_negativity_follows_vidal_werner(sigma):
-    """`log_negativity` (determinant formula) against the eigensolve above,
-    for both pairs.  The formula's nu~^2 cancels to an absolute error of
-    about eps |block|^2, so E_N agrees within a few eps |block|^2 / nu~^2."""
+    """`log_negativity` (determinant formula) and `metric_row` (its closed
+    form on the sectors, for a sigma that splits) against the eigensolve
+    above, for both pairs.  The formula's nu~^2 cancels to an absolute error
+    of about eps |block|^2, so E_N agrees within a few eps |block|^2 / nu~^2."""
     eps = np.finfo(float).eps
+    row = metric_row(sigma)
     for pair, idx in PAIR_INDICES.items():
         expected, nu = vidal_werner_negativity(sigma, pair)
         block = np.asarray(sigma)[np.ix_(idx, idx)]
         bound = 10.0 * eps * (np.linalg.norm(block) / nu.min()) ** 2
-        assert abs(log_negativity(sigma, pair).e_n - expected) <= bound, pair
+        assert abs(log_negativity(sigma, pair) - expected) <= bound, pair
+        assert abs(row[f"en_{pair}"] - expected) <= bound, pair
+
+
+def full_kernel_row(sigma):
+    """`metric_row` of one 8x8 sigma by the 8x8 kernels, which evaluate a
+    stack that does not split: sigma stacked with a companion that does not."""
+    lopsided = 0.5 * np.eye(8)
+    lopsided[0, 0] = 0.6  # pair 1 differs from pair 2
+    return {name: v[0].item() for name, v in metric_row(np.stack([sigma, lopsided])).items()}
+
+
+def assert_sector_kernel_agrees(sectors):
+    """`metric_row` of a physical sector pair (2, 4, 4) against the 8x8
+    kernels on the joined sigma: bit for bit but for the log negativities,
+    which agree within 1e-11 relative.  The joined sigma splits, so its own
+    `metric_row` is the sectors' row exactly."""
+    row = metric_row(sectors)
+    sigma = join_sectors(sectors)
+    assert metric_row(sigma) == row
+    full = full_kernel_row(sigma)
+    for name in ("en_cc", "en_mm"):
+        assert row.pop(name) == pytest.approx(full.pop(name), rel=1e-11, abs=1e-14), name
+    assert row == full
+    assert row["physical"] == 1.0
 
 
 @dataclass(frozen=True)
@@ -205,6 +251,12 @@ def squeezing_result(quadrature: str, variance: float) -> SqueezingResult:
     return SqueezingResult(
         quadrature=quadrature, variance=variance, db=db, beats_3db=db > THREE_DB
     )
+
+
+def collective_variances(sigma):
+    """The four collective variances of `metric_row`, as attributes."""
+    row = metric_row(sigma)
+    return SimpleNamespace(**{name: row[name] for name in ("v_xc", "v_yc", "v_xd", "v_yd")})
 
 
 def single_mode_variances(sigma):

@@ -19,7 +19,6 @@ from omsqueeze import (
     apply_overrides,
     build_diffusion,
     build_drift,
-    collective_variances,
     coupling_base,
     derive_model,
     drift_eigenvalues,
@@ -34,6 +33,7 @@ from omsqueeze import (
 
 from conftest import (
     PAPER_N_M,
+    collective_variances,
     match_eigenvalue_sets,
     model,
     quartic_eigenvalues,

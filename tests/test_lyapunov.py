@@ -16,7 +16,6 @@ from omsqueeze import (
     initial_covariance,
     metric_row,
     paper_base,
-    physicality_check,
     residual,
     solve_lyapunov,
 )
@@ -35,6 +34,7 @@ from conftest import (
     kronecker_sector_operator,
     match_eigenvalue_sets,
     model,
+    physicality_check,
     quartic_eigenvalues,
     random_models,
 )
@@ -101,6 +101,27 @@ class TestResidual:
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         solution = solve_lyapunov(w, d)
         assert solution.residual_norm <= 1e-10
+
+    def test_joined_sigma_meets_the_sector_residual(self):
+        """The solve takes its residual per sector; the 8x8 residual of the
+        joined sigma stays at rounding level too, on every parameter preset
+        and every figure preset's base point."""
+        from omsqueeze.presets import FIGURE_NAMES, PARAM_PRESETS, TracePreset
+
+        presets = [figure_preset(name) for name in FIGURE_NAMES]
+        bases = [preset() for preset in PARAM_PRESETS.values()] + [
+            p.params if isinstance(p, TracePreset) else p.base for p in presets]
+        solved = 0
+        for params in bases:
+            m = derive_model(params)
+            if not analyze(m).stable:
+                continue
+            w, d = build_drift(m), build_diffusion(m)
+            solution = solve_lyapunov(w, d)
+            assert solution.residual_norm <= 1e-13
+            assert residual(w, d, solution.sigma) <= 1e-13
+            solved += 1
+        assert solved >= len(PARAM_PRESETS)
 
 
 class TestSolveLyapunov:

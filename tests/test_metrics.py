@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from omsqueeze import (
     COHERENT_BOUND,
@@ -12,23 +13,27 @@ from omsqueeze import (
     apply_overrides,
     build_diffusion,
     build_drift,
-    collective_variances,
     derive_model,
     figure_preset,
-    log_negativity,
     metric_row,
-    physicality_check,
     solve_lyapunov,
     squeezing_db,
+    symplectic_form,
 )
+from omsqueeze.matrices import join_sectors
 
 from conftest import (
     PAPER_N_M,
     THREE_DB,
     assert_negativity_follows_vidal_werner,
+    assert_sector_kernel_agrees,
+    collective_variances,
+    full_kernel_row,
+    log_negativity,
     min_physicality_eigenvalue,
     model,
     nu_tilde_minus,
+    physicality_check,
     random_models,
     single_mode_variances,
     squeezing_result,
@@ -132,35 +137,31 @@ class TestSingleModeVariances:
 class TestLogNegativity:
     def test_vacuum_is_separable(self):
         for pair in ("cc", "mm"):
-            result = log_negativity(VACUUM, pair)
+            e_n = log_negativity(VACUUM, pair)
             assert nu_tilde_minus(VACUUM, pair) == pytest.approx(0.5, rel=1e-12)
-            assert result.e_n == 0.0
+            assert e_n == 0.0
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     @pytest.mark.parametrize("pair,idx", [("cc", (0, 1, 2, 3)), ("mm", (4, 5, 6, 7))])
     def test_ideal_two_mode_squeezing(self, r, pair, idx):
         sigma = embed(two_mode_squeezed_block(r), list(idx))
-        result = log_negativity(sigma, pair)
-        assert result.e_n == pytest.approx(2 * r, rel=1e-10)
+        e_n = log_negativity(sigma, pair)
+        assert e_n == pytest.approx(2 * r, rel=1e-10)
         assert nu_tilde_minus(sigma, pair) == pytest.approx(math.exp(-2 * r) / 2, rel=1e-10)
 
     def test_pump_plateau_point(self):
         sigma = steady_sigma(model(1.0, 0.5, 0.49, 0.0))
-        assert log_negativity(sigma, "cc").e_n == pytest.approx(0.6818153, rel=1e-5)
-        assert log_negativity(sigma, "mm").e_n == pytest.approx(0.6801447, rel=1e-5)
+        assert log_negativity(sigma, "cc") == pytest.approx(0.6818153, rel=1e-5)
+        assert log_negativity(sigma, "mm") == pytest.approx(0.6801447, rel=1e-5)
 
     def test_plateau_flat_and_dying_at_balanced_drive(self):
-        mid1 = log_negativity(steady_sigma(model(1.0, 0.4, 0.49, 0.0)), "mm").e_n
-        mid2 = log_negativity(steady_sigma(model(1.0, 0.6, 0.49, 0.0)), "mm").e_n
+        mid1 = log_negativity(steady_sigma(model(1.0, 0.4, 0.49, 0.0)), "mm")
+        mid2 = log_negativity(steady_sigma(model(1.0, 0.6, 0.49, 0.0)), "mm")
         assert mid1 > 0 and mid2 > 0
         assert abs(mid1 - mid2) < 0.02
         near_one = steady_sigma(model(1.0, 0.9999, 0.49, 0.0))
-        assert log_negativity(near_one, "mm").e_n == 0.0
-        assert log_negativity(near_one, "cc").e_n == 0.0
-
-    def test_rejects_unknown_pair(self):
-        with pytest.raises(ValueError):
-            log_negativity(VACUUM, "cm")
+        assert log_negativity(near_one, "mm") == 0.0
+        assert log_negativity(near_one, "cc") == 0.0
 
     def test_unphysical_block_flagged(self):
         sigma = 0.5 * np.eye(8)
@@ -192,7 +193,7 @@ class TestLogNegativity:
             np.stack([build_drift(m) for m in models]),
             np.stack([build_diffusion(m) for m in models]),
         ).sigma
-        e_n = log_negativity(sigma, "cc").e_n
+        e_n = log_negativity(sigma, "cc")
         assert e_n.min() > 0.5
         assert np.ptp(e_n) <= 1e-11 * e_n.max()
 
@@ -217,8 +218,8 @@ class TestLogNegativity:
             symplectic[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = rot
         sigma = steady_sigma(model(0.8, 0.4, 0.45, 0.3))
         rotated = symplectic @ sigma @ symplectic.T
-        a = log_negativity(sigma, "mm").e_n
-        b = log_negativity(rotated, "mm").e_n
+        a = log_negativity(sigma, "mm")
+        b = log_negativity(rotated, "mm")
         assert b == pytest.approx(a, abs=1e-9)
 
 
@@ -317,7 +318,7 @@ class TestMetricRow:
 class TestStackedInput:
     def test_single_matrix_gives_plain_scalars(self):
         assert type(collective_variances(VACUUM).v_xc) is float
-        assert type(log_negativity(VACUUM, "cc").e_n) is float
+        assert type(log_negativity(VACUUM, "cc")) is float
         assert type(physicality_check(VACUUM)) is bool
         assert type(squeezing_db(0.5)) is float
 
@@ -345,3 +346,78 @@ class TestStackedInput:
         """nu = 0 would take log(0); the message is math.log's own."""
         with pytest.raises(ValueError, match="math domain error"):
             log_negativity(np.zeros((8, 8)), "cc")
+
+
+def random_sector_pair(rng):
+    """sigma_+ (+) sigma_- of a random physical state: each sector is
+    M diag(nu_1, nu_1, nu_2, nu_2) M^T with M = expm(Omega H) symplectic for
+    a random symmetric H, and symplectic eigenvalues nu >= 1/2."""
+    sectors = []
+    for _ in range(2):
+        h = rng.normal(scale=0.6, size=(4, 4))
+        m = expm(symplectic_form(2) @ (h + h.T))
+        nu = np.repeat(0.5 + rng.exponential(0.2, size=2), 2)
+        sectors.append(m @ np.diag(nu) @ m.T)
+    sectors = np.stack(sectors)
+    return (sectors + sectors.swapaxes(-1, -2)) / 2.0
+
+
+class TestSectorKernel:
+    """`metric_row` on the sectors sigma_+ (+) sigma_- against the 8x8
+    kernels, the eigensolve physicality oracle and Vidal-Werner."""
+
+    def test_random_physical_pairs_agree_with_the_8x8_kernels(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            sectors = random_sector_pair(rng)
+            assert_sector_kernel_agrees(sectors)
+            assert_negativity_follows_vidal_werner(join_sectors(sectors))
+
+    def test_steady_sectors_agree_with_the_8x8_kernels(self):
+        for m, _ in random_models(60, seed=20261020, stable=True):
+            assert_sector_kernel_agrees(
+                solve_lyapunov(build_drift(m), build_diffusion(m)).sectors)
+
+    def test_stack_gives_the_per_pair_rows(self):
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_sector_pair(rng) for _ in range(5)])
+        rows = metric_row(stack)
+        for i, sectors in enumerate(stack):
+            assert {name: v[i].item() for name, v in rows.items()} == metric_row(sectors)
+
+    @given(st.integers(0, 2**32 - 1), st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1.0, 1.0)))
+    def test_physicality_agrees_with_the_eigenvalue_oracle(self, seed, offset):
+        """Each sector shifted so that the smallest eigenvalue of
+        S_s + (i/2) Omega lies near -tol; an unphysical pair may instead
+        fail another check of the row (a variance or a negativity), but
+        never passes as physical."""
+        rng = np.random.default_rng(seed)
+        sectors = random_sector_pair(rng)
+        shifts = offset + rng.uniform(0.0, 1e-8, size=2) - 1e-9
+        smallest = np.linalg.eigvalsh(sectors + 0.5j * symplectic_form(2))[:, 0]
+        sectors = sectors + (shifts - smallest)[:, None, None] * np.eye(4)
+        smallest = min_physicality_eigenvalue(join_sectors(sectors))
+        if abs(smallest + 1e-9) <= 1e-12:
+            return
+        try:
+            physical = metric_row(sectors)["physical"]
+        except ValueError:  # PhysicalityError among them
+            assert smallest < -1e-9
+        else:
+            assert physical == float(smallest >= -1e-9)
+
+    @pytest.mark.parametrize("p, m, message", [
+        ([[10.5, 0.0], [0.0, 0.5]], [[-9.5, 0.0], [0.0, 0.5]],
+         "squared symplectic eigenvalue negative"),
+        ([[1.0, 1.0], [1.0, 0.1]], [[0.1, 1.0], [1.0, 1.0]], "discriminant negative"),
+    ])
+    def test_unphysical_pair_raises_as_the_8x8_kernel_does(self, p, m, message):
+        """The same PhysicalityError, message and all, from both kernels;
+        the first pair is VACUUM with sigma_02 = sigma_20 = 10."""
+        sectors = np.stack([0.5 * np.eye(4)] * 2)
+        sectors[:, :2, :2] = p, m
+        with pytest.raises(PhysicalityError, match=message) as sector_error:
+            metric_row(sectors)
+        with pytest.raises(PhysicalityError, match=message) as full_error:
+            full_kernel_row(join_sectors(sectors))
+        assert str(sector_error.value) == str(full_error.value)

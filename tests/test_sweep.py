@@ -332,6 +332,29 @@ class TestRunSweep:
         for overrides in spec.assignments()[1:3]:
             assert not analyze(derive_model(apply_overrides(spec.base, overrides))).stable
 
+    def test_row_outcome_does_not_depend_on_the_warning_filter(self):
+        """A G-/kappa scan to 1e297 at G+/G- = 1/2 and 1: nothing warns, so
+        the rows are the same whether warnings raise, as in this suite, or
+        print.  A stable row whose metrics overflow is an error row that
+        names the metric, not a row of metrics taken from an overflow."""
+        import warnings
+
+        g_minus = [0.3] + [10.0**k for k in range(-3, 298, 10)]
+        spec = direct_spec(axes=(SweepAxis.explicit("g_minus_over_kappa", g_minus),
+                                 SweepAxis.explicit("g_plus_over_g_minus", (0.5, 1.0))))
+        strict = run_sweep(spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lenient = run_sweep(spec)
+        assert caught == []
+        assert lenient.errors == strict.errors
+        assert np.array_equal(lenient.stable, strict.stable)
+        for name, values in strict.columns.items():
+            assert np.array_equal(lenient.columns[name], values, equal_nan=True), name
+        assert strict.stable[:2].all()
+        assert all(np.isfinite(values[strict.stable]).all() for values in strict.columns.values())
+        assert "OverflowError: en_cc is not finite" in strict.errors
+
     def test_deterministic_csv_bytes(self, tmp_path):
         spec = direct_spec(
             axes=(SweepAxis.linear("g_plus_over_g_minus", 0.0, 0.9, 7),),

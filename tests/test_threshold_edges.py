@@ -12,15 +12,16 @@ from omsqueeze import (
     build_diffusion,
     build_drift,
     metric_row,
-    physicality_check,
     solve_lyapunov,
 )
 
 from conftest import (
     ORACLE_FACTOR,
     assert_negativity_follows_vidal_werner,
+    assert_sector_kernel_agrees,
     kronecker_lyapunov,
     model,
+    physicality_check,
 )
 
 LAMBDA_CAP = 0.4999
@@ -87,8 +88,9 @@ def test_threshold_edge_solves(models):
 @given(edge_models)
 def test_negativity_follows_vidal_werner(m):
     """E_N where delta - sqrt(disc) cancels, against the symplectic
-    eigensolve of the partially transposed blocks."""
+    eigensolve of the partially transposed blocks, and the sector kernel
+    against the 8x8 ones."""
     assume(analyze(m).stable)
-    assert_negativity_follows_vidal_werner(
-        solve_lyapunov(build_drift(m), build_diffusion(m)).sigma
-    )
+    solution = solve_lyapunov(build_drift(m), build_diffusion(m))
+    assert_negativity_follows_vidal_werner(solution.sigma)
+    assert_sector_kernel_agrees(solution.sectors)
