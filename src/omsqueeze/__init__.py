@@ -18,7 +18,7 @@ from .errors import (
     ThresholdError,
     UnstableSystemError,
 )
-from .lyapunov import LyapunovSolution, residual, solve_lyapunov
+from .lyapunov import LyapunovSolution, solve_lyapunov
 from .matrices import (
     QUADRATURES,
     build_diffusion,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import evolve_to_steady, integrate
+from .dynamics import STEADY_EPS, evolve_to_steady, integrate
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -200,23 +200,21 @@ def cmd_steady(args) -> int:
 
 
 def _relax(params: PhysicalParams, *, eps: float, t_end: float | None = None):
-    """Gate on stability, then integrate sigma from the initial covariance.
-
-    Returns (sigma, trajectory): sigma relaxed to the steady state, or,
-    with `t_end`, the trajectory over that fixed horizon and sigma None.
-    """
+    """Gate on stability, then integrate sigma from the initial covariance:
+    to its steady state, or with `t_end` over that fixed horizon.  Returns
+    (sigma, trajectory)."""
     model = derive_model(params)
     _require_stable(analyze(model))
     w, d = build_drift(model), build_diffusion(model)
     sigma0 = initial_covariance(model)
     if t_end is not None:
-        return None, integrate(w, d, sigma0, t_end=t_end)
+        return integrate(w, d, sigma0, t_end)
     return evolve_to_steady(w, d, sigma0, eps=eps)
 
 
 def cmd_evolve(args) -> int:
     sigma, trajectory = _relax(_load_params(args), eps=args.eps, t_end=args.t_end)
-    if sigma is None:
+    if args.t_end is not None:
         print(f"integrated to t = {_fmt(args.t_end)} / kappa "
               f"({len(trajectory.times)} accepted steps)")
     else:
@@ -224,7 +222,7 @@ def cmd_evolve(args) -> int:
               f"({len(trajectory.times)} accepted steps)")
     print(f"trace: initial = {_fmt(trajectory.traces[0])}  "
           f"final = {_fmt(trajectory.traces[-1])}")
-    if sigma is not None:
+    if args.t_end is None:
         for line in _metrics_lines(metric_row(sigma)):
             print(line)
     if args.out is not None:
@@ -282,7 +280,7 @@ def cmd_figure(args) -> int:
     if isinstance(preset, TracePreset):
         if args.format != "csv":
             raise ValueError(f"{args.name} is a time trace; it is written as CSV only")
-        _, trajectory = _relax(preset.params, eps=preset.eps)
+        _, trajectory = _relax(preset.params, eps=STEADY_EPS)
         print(f"converged at t = {_fmt(trajectory.t_converged)} / kappa; "
               f"trace plateau = {_fmt(trajectory.traces[-1])}")
         trajectory.to_csv(out)
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output file path")
     p.add_argument("--t-end", type=float, default=None,
                    help="fixed horizon in 1/kappa (default: detect convergence)")
-    p.add_argument("--eps", type=float, default=1e-8,
+    p.add_argument("--eps", type=float, default=STEADY_EPS,
                    help="steady-state threshold on ||sigma'|| / ||D||")
     p.set_defaults(func=cmd_evolve)
 

@@ -25,6 +25,19 @@ from .errors import ConvergenceError, DivergenceError, StiffnessError
 MIN_STEP = 1e-14
 DIVERGENCE_NORM = 1e150
 
+# Step-error tolerances: relative to the state, and absolute.
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+# Steady-state threshold on ||sigma'||_F / ||D||_F.
+STEADY_EPS = 1e-8
+# The steady-state window and the give-up time, in relaxation times of the
+# slowest drift mode (1 / |spectral abscissa|).
+WINDOW_RELAXATIONS = 10.0
+MAX_RELAXATIONS = 1e4
+# `Trajectory.resample_log`: samples on a log grid from LOG_T_MIN (1/kappa).
+LOG_SAMPLES = 400
+LOG_T_MIN = 1e-2
+
 # Dormand-Prince 5(4) tableau (autonomous right-hand side, so no stage
 # times needed).  Row i of _A weighs the stages k_0..k_6 for stage i + 1;
 # the last row is b5, so the last stage argument is the 5th-order solution
@@ -54,19 +67,16 @@ class Trajectory:
 
     times: np.ndarray
     traces: np.ndarray
-    snapshots: list[tuple[float, np.ndarray]] | None = None
     converged: bool = False
     t_converged: float | None = None
 
-    def resample_log(
-        self, count: int = 400, t_min: float = 1e-2
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def resample_log(self) -> tuple[np.ndarray, np.ndarray]:
         """Samples on a log-spaced time grid (plot-friendly): the first
         accepted step at or after each grid time, duplicates dropped."""
         t_last = self.times[-1]
-        if t_last <= t_min:
+        if t_last <= LOG_T_MIN:
             return self.times, self.traces
-        grid = np.geomspace(t_min, t_last, count)
+        grid = np.geomspace(LOG_T_MIN, t_last, LOG_SAMPLES)
         idx = np.searchsorted(self.times, grid)
         idx = np.unique(np.clip(idx, 0, len(self.times) - 1))
         return self.times[idx], self.traces[idx]
@@ -90,11 +100,10 @@ def _accepted_steps(
     w: np.ndarray,
     d: np.ndarray,
     sigma0: np.ndarray,
-    rel_tol: float,
-    abs_tol: float,
     targets: list[float],
 ) -> Iterator[tuple[float, np.ndarray, float]]:
-    """Yield (t, sigma, ||sigma'||_F) for t=0 and every accepted step.
+    """Yield (t, sigma, ||sigma'||_F) for t=0 and every accepted step, with
+    errors held to REL_TOL and ABS_TOL.
 
     `targets` must be sorted ascending; the stepper lands on each exactly.
     Iteration ends after the last target is reached.  The state is the flat
@@ -102,6 +111,7 @@ def _accepted_steps(
     is never written again.
     """
     dot = np.dot  # for a matrix times a vector: a third of matmul's call overhead
+    rel_tol, abs_tol = REL_TOL, ABS_TOL
     n = w.shape[0]
     op = _vec_operator(w)
     d_vec = d.ravel()
@@ -171,73 +181,47 @@ def _accepted_steps(
 
 
 def integrate(
-    w: np.ndarray,
-    d: np.ndarray,
-    sigma0: np.ndarray,
-    t_end: float,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    snapshot_times: list[float] | None = None,
-) -> Trajectory:
-    """Integrate the covariance ODE to t_end, recording Tr sigma per step."""
-    _require_positive(t_end=t_end, rel_tol=rel_tol, abs_tol=abs_tol)
+    w: np.ndarray, d: np.ndarray, sigma0: np.ndarray, t_end: float
+) -> tuple[np.ndarray, Trajectory]:
+    """Integrate the covariance ODE to t_end, recording Tr sigma per step.
+
+    Returns sigma(t_end) and the trajectory.
+    """
+    _require_positive(t_end=t_end)
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
     sigma0 = np.asarray(sigma0, dtype=float)
 
-    wanted = sorted(set(snapshot_times or []))
-    if any(ts < 0 or ts > t_end for ts in wanted):
-        raise ValueError("snapshot times must lie in [0, t_end]")
-    targets = sorted(set(wanted) | {t_end})
-
     times, traces = [], []
-    snapshots: list[tuple[float, np.ndarray]] = []
-    remaining = list(wanted)
-    for t, sigma, _ in _accepted_steps(w, d, sigma0, rel_tol, abs_tol, targets):
+    for t, sigma, _ in _accepted_steps(w, d, sigma0, [t_end]):
         times.append(t)
         traces.append(float(np.trace(sigma)))
-        while remaining and t >= remaining[0] - 1e-12 * max(1.0, remaining[0]):
-            snapshots.append((t, sigma.copy()))
-            remaining.pop(0)
-    return Trajectory(
-        times=np.asarray(times),
-        traces=np.asarray(traces),
-        snapshots=snapshots if wanted else None,
-    )
+    return sigma, Trajectory(times=np.asarray(times), traces=np.asarray(traces))
 
 
 def evolve_to_steady(
     w: np.ndarray,
     d: np.ndarray,
     sigma0: np.ndarray,
-    window: float | None = None,
-    eps: float = 1e-8,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    max_time: float | None = None,
+    eps: float = STEADY_EPS,
 ) -> tuple[np.ndarray, Trajectory]:
     """Relax the covariance until ||sigma'||_F stays below eps ||D||_F.
 
-    The drop below threshold must be sustained over a trailing window
-    (default ten relaxation times, from the spectral abscissa).  Unstable
+    The drop below threshold must be sustained over a trailing window of
+    WINDOW_RELAXATIONS relaxation times (from the spectral abscissa); after
+    MAX_RELAXATIONS of them without that, ConvergenceError.  Unstable
     drifts are not rejected up front: integration then grows exponentially
     and raises DivergenceError, which is itself the verdict.
     """
-    _require_positive(eps=eps, rel_tol=rel_tol, abs_tol=abs_tol)
-    if window is not None:
-        _require_positive(window=window)
-    if max_time is not None:
-        _require_positive(max_time=max_time)
+    _require_positive(eps=eps)
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
     sigma0 = np.asarray(sigma0, dtype=float)
 
     abscissa = float(np.max(np.linalg.eigvals(w).real))
     rate = max(abs(abscissa), 1e-12)
-    if window is None:
-        window = 10.0 / rate
-    if max_time is None:
-        max_time = 1e4 / rate
+    window = WINDOW_RELAXATIONS / rate
+    max_time = MAX_RELAXATIONS / rate
 
     threshold = eps * float(np.linalg.norm(d))
     times, traces = [], []
@@ -249,7 +233,7 @@ def evolve_to_steady(
     # Chunked targets keep steps aligned with the window bookkeeping.
     chunk = window / 4.0
     targets = np.arange(chunk, max_time + chunk / 2, chunk).tolist()
-    for t, sigma, deriv_norm in _accepted_steps(w, d, sigma0, rel_tol, abs_tol, targets):
+    for t, sigma, deriv_norm in _accepted_steps(w, d, sigma0, targets):
         times.append(t)
         traces.append(float(np.trace(sigma)))
         final_sigma = sigma

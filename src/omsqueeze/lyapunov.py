@@ -40,16 +40,11 @@ class LyapunovSolution:
 
 
 def _residuals(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """||W s + s W^T + D||_F / ||D||_F of each (..., 2, 4, 4) sector pair:
+    the norms of the two sectors add in squares."""
     r = w @ sigma + sigma @ np.ascontiguousarray(w.swapaxes(-1, -2)) + d
-    axes = 3 if r.shape[-3:] == (2, 4, 4) else 2  # sectors: their norms add in squares
-    r, d = (x.reshape(*x.shape[:-axes], -1) for x in (r, d))
+    r, d = (x.reshape(*x.shape[:-3], 32) for x in (r, d))
     return np.sqrt(np.einsum("...i,...i", r, r) / np.einsum("...i,...i", d, d))
-
-
-def residual(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> float:
-    """Relative Frobenius residual of a candidate steady state (a stack's worst)."""
-    w, d, sigma = (np.asarray(x, dtype=float) for x in (w, d, sigma))
-    return float(np.max(_residuals(w, d, sigma)))
 
 
 # The 10 unknowns of a symmetric 4x4 sigma_s are its entries i <= j;

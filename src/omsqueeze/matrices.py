@@ -30,6 +30,9 @@ MODE_1 = np.array([0, 1, 4, 5])
 MODE_2 = np.array([2, 3, 6, 7])
 _SECTOR_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # A + B, A - B
 
+# A covariance whose antisymmetric part exceeds this (Frobenius) is rejected.
+SYMMETRY_TOL = 1e-9
+
 
 def _positions(rows, columns):
     return (rows[:, None] * 8 + columns).reshape(16)
@@ -83,7 +86,7 @@ def build_drift(m: ModelParams) -> np.ndarray:
     """Assemble the 8x8 drift matrix of the linearized quadrature dynamics
     (a stack (..., 8, 8) for a model with array fields)."""
     a, b, c, s = coupling_coefficients(m)
-    return _fill(_DRIFT, -m.kappa / 2.0, -m.gamma / 2.0, c, s, -c, -a, b)
+    return _fill(_DRIFT, -0.5, -m.gamma / 2.0, c, s, -c, -a, b)  # -kappa/2, kappa = 1
 
 
 def pair_blocks(x: np.ndarray) -> np.ndarray:
@@ -145,10 +148,8 @@ def join_sectors(sectors: np.ndarray) -> np.ndarray:
 
 def build_diffusion(m: ModelParams) -> np.ndarray:
     """Diagonal noise-injection matrix from the delta-correlated baths (a
-    stack for a model with array fields)."""
-    cav = m.kappa * (m.n_c + 0.5)
-    mech = m.gamma * (m.n_m + 0.5)
-    return _fill(_DIFFUSION, cav, mech)
+    stack for a model with array fields), with kappa = 1."""
+    return _fill(_DIFFUSION, m.n_c + 0.5, m.gamma * (m.n_m + 0.5))
 
 
 def initial_covariance(m: ModelParams) -> np.ndarray:
@@ -165,9 +166,9 @@ def symplectic_form(n_modes: int = 4) -> np.ndarray:
     return omega
 
 
-def require_symmetric(sigma: np.ndarray, tol: float = 1e-9) -> None:
+def require_symmetric(sigma: np.ndarray) -> None:
     """Raise if sigma, an 8x8 matrix or its sectors (..., 2, 4, 4), or any
-    of a stack, is not symmetric to within tol (Frobenius norm)."""
+    of a stack, is not symmetric to within SYMMETRY_TOL (Frobenius norm)."""
     sigma = np.asarray(sigma)
     sectors = sigma.shape[-3:] == (2, 4, 4)
     if sigma.shape[-2:] != (8, 8) and not sectors:
@@ -175,8 +176,8 @@ def require_symmetric(sigma: np.ndarray, tol: float = 1e-9) -> None:
     asymmetry = sigma - sigma.swapaxes(-1, -2)
     if sectors:  # the rotation to the sectors keeps the norm
         asymmetry = asymmetry.reshape(*sigma.shape[:-3], 8, 4)
-    if not np.all(np.linalg.norm(asymmetry, axis=(-2, -1)) <= tol):
-        raise ValueError(f"covariance matrix asymmetric beyond {tol}")
+    if not np.all(np.linalg.norm(asymmetry, axis=(-2, -1)) <= SYMMETRY_TOL):
+        raise ValueError(f"covariance matrix asymmetric beyond {SYMMETRY_TOL}")
 
 
 def covariance_to_json(sigma: np.ndarray) -> dict:

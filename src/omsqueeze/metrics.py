@@ -23,6 +23,9 @@ from .matrices import MODE_1, MODE_2, pair_blocks, require_symmetric, symplectic
 
 TWO_MODE_SHOT_NOISE = 1.0
 COHERENT_BOUND = math.log(2.0)
+# sigma + (i/2) Omega may have eigenvalues down to -PHYSICALITY_TOL and
+# still count as physical.
+PHYSICALITY_TOL = 1e-9
 
 PAIR_INDICES = {"cc": (0, 1, 2, 3), "mm": (4, 5, 6, 7)}
 
@@ -109,13 +112,14 @@ def _negativity(delta: np.ndarray, det: np.ndarray) -> float:
     return _plain(np.where(e_n <= 0.0, 0.0, e_n))
 
 
-def _positive_pivots(sigma: np.ndarray, tol: float) -> np.ndarray:
+def _positive_pivots(sigma: np.ndarray) -> np.ndarray:
     """For each matrix sigma[:, :, ...] of a stack (n, n, ...), whether all n
-    pivots of an LDL^H elimination of sigma + (i/2) Omega + tol I are > 0:
-    "smallest eigenvalue >= -tol" except at exact equality, which counts as
-    unphysical.  The stack is laid out last, so each step is one pass."""
+    pivots of an LDL^H elimination of sigma + (i/2) Omega + PHYSICALITY_TOL I
+    are > 0: "smallest eigenvalue >= -PHYSICALITY_TOL" except at exact
+    equality, which counts as unphysical.  The stack is laid out last, so
+    each step is one pass."""
     n = len(sigma)
-    form = 0.5j * symplectic_form(n // 2) + tol * np.eye(n)
+    form = 0.5j * symplectic_form(n // 2) + PHYSICALITY_TOL * np.eye(n)
     h = np.add(sigma, form.reshape(n, n, *(1,) * (sigma.ndim - 2)), order="C")
     positive = np.ones(h.shape[2:], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: a pivot of -inf or NaN
@@ -146,7 +150,7 @@ def metric_row(sigma: np.ndarray) -> dict[str, float]:
         return _row(
             s[MODE_1, MODE_1] + s[MODE_2, MODE_2] + 2 * s[MODE_1, MODE_2],
             lambda pair: _log_negativity(sigma, pair),
-            lambda: _positive_pivots(s, 1e-9),
+            lambda: _positive_pivots(s),
         )
     diagonals = blocks[:, range(4), range(4)]  # (2, 4, ...): of A and of B
     sectors = np.stack([blocks[0] + blocks[1], blocks[0] - blocks[1]])
@@ -154,7 +158,7 @@ def metric_row(sigma: np.ndarray) -> dict[str, float]:
     return _row(
         (diagonals[0] + diagonals[0]) + 2 * diagonals[1],
         lambda pair: _sector_negativity(pairs[pair]),
-        lambda: _positive_pivots(np.moveaxis(sectors, 0, -1), 1e-9).all(axis=-1),
+        lambda: _positive_pivots(np.moveaxis(sectors, 0, -1)).all(axis=-1),
     )
 
 

@@ -212,7 +212,6 @@ class ModelParams:
 
     gamma may be zero here (the gamma -> 0 limit is a useful analytic
     check) even though PhysicalParams requires strictly positive damping.
-    omega_m is retained only so the RWA guard can be re-evaluated.
     """
 
     G_minus: float
@@ -222,13 +221,10 @@ class ModelParams:
     gamma: float
     n_c: float
     n_m: float
-    omega_m: float = 8.0
-    kappa: float = 1.0
     rwa_flagged: bool = False
 
     RULES = (
-        (("G_minus", "G_plus", "lambda_pa", "phi", "gamma", "n_c", "n_m", "omega_m", "kappa"),
-         _finite, _FINITE),
+        (("G_minus", "G_plus", "lambda_pa", "phi", "gamma", "n_c", "n_m"), _finite, _FINITE),
         (("G_minus", "G_plus", "lambda_pa", "gamma", "n_c", "n_m"), lambda v: v >= 0,
          "{name} must be >= 0"),
     )
@@ -343,7 +339,5 @@ def derive_model(params: PhysicalParams) -> ModelParams:
         gamma=params.gamma / kappa,
         n_c=n_c,
         n_m=n_m,
-        omega_m=omega_m_k,
-        kappa=1.0,
         rwa_flagged=flagged,
     )

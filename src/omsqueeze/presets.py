@@ -42,7 +42,6 @@ class TracePreset:
 
     name: str
     params: PhysicalParams
-    eps: float = 1e-8
 
 
 def paper_base(
@@ -50,20 +49,17 @@ def paper_base(
     p_minus: float = 10e-9,
     p_plus: float = 0.0,
     lambda_pa: float = 0.0,
-    phi: float = 0.0,
-    temperature: float = BATH_TEMPERATURE,
-    gamma: float = GAMMA,
 ) -> PhysicalParams:
-    """Power-driven base configuration."""
+    """Power-driven base configuration at zero pump phase."""
     return PhysicalParams(
         omega_m=OMEGA_M,
         omega_c=OMEGA_C,
         kappa=KAPPA,
-        gamma=gamma,
+        gamma=GAMMA,
         g=G_SINGLE_PHOTON,
         lambda_pa=lambda_pa,
-        phi=phi,
-        temperature=temperature,
+        phi=0.0,
+        temperature=BATH_TEMPERATURE,
         drive=PowerDrive(P_minus=p_minus, P_plus=p_plus),
     )
 
@@ -74,7 +70,6 @@ def coupling_base(
     g_plus_k: float = 0.0,
     lambda_k: float = 0.0,
     phi: float = 0.0,
-    temperature: float = BATH_TEMPERATURE,
     gamma_k: float = 6.67e-6,
 ) -> PhysicalParams:
     """Directly-coupled base configuration, couplings given in kappa units."""
@@ -86,7 +81,7 @@ def coupling_base(
         g=G_SINGLE_PHOTON,
         lambda_pa=lambda_k * KAPPA,
         phi=phi,
-        temperature=temperature,
+        temperature=BATH_TEMPERATURE,
         drive=DirectCouplings(G_minus=g_minus_k * KAPPA, G_plus=g_plus_k * KAPPA),
     )
 
@@ -151,7 +146,7 @@ def figure_preset(name: str):
         )
     if name in ("fig4a", "fig4b"):
         return SweepSpec(
-            base=paper_base(p_minus=3e-9, phi=0.0),
+            base=paper_base(p_minus=3e-9),
             axes=(
                 ratio_axis("p_plus_over_p_minus", LINE_RESOLUTION),
                 SweepAxis.explicit(

@@ -8,8 +8,9 @@ analysis runs two independent routes: closed-form Hurwitz minors of that
 quartic, and a dense eigensolve.  `analyze` reports both for one model,
 with the eigenvalues of both sectors.  A sweep takes the minors of a model
 with array fields first (one verdict per row), and `lyapunov.solve_stable`
-eigensolves only the rows they pass, and only W_+, since W_- = T W_+ T^-1
-(`matrices.split_drift`).
+eigensolves only the rows they pass.  The spectral abscissa is always W_+'s,
+since W_- = T W_+ T^-1 (`matrices.split_drift`): W_-'s computed one differs
+by rounding, which near a threshold could flip the verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import build_drift, split_sectors
+from .matrices import build_drift, split_drift, split_sectors
 from .params import ModelParams
 
 # Verdicts within this distance of a zero spectral abscissa are marginal:
@@ -126,15 +127,15 @@ def _square(x, name):
 
 
 def rhsc_coefficients(m: ModelParams) -> RhscCoefficients:
-    """Closed-form quartic coefficients; independent of the pump phase."""
-    kap, gam = m.kappa, m.gamma
+    """Closed-form quartic coefficients (kappa = 1); independent of the pump phase."""
+    gam = m.gamma
     lam2 = _square(m.lambda_pa, "lambda_pa")
     dg2 = _square(m.G_minus, "G_minus") - _square(m.G_plus, "G_plus")
-    gam2, kap2 = _square(gam, "gamma"), _square(kap, "kappa")
-    s1 = gam + kap
-    s2 = gam * kap + 0.25 * (gam2 + kap2 - 4.0 * lam2) + 2.0 * dg2
-    s3 = (gam + kap) * (0.25 * gam * kap + dg2) - gam * lam2
-    s4 = dg2 * (dg2 + 0.5 * gam * kap) + gam2 / 16.0 * (kap2 - 4.0 * lam2)
+    gam2 = _square(gam, "gamma")
+    s1 = gam + 1.0
+    s2 = gam + 0.25 * (gam2 + 1.0 - 4.0 * lam2) + 2.0 * dg2
+    s3 = s1 * (0.25 * gam + dg2) - gam * lam2
+    s4 = dg2 * (dg2 + 0.5 * gam) + gam2 / 16.0 * (1.0 - 4.0 * lam2)
     return RhscCoefficients(s1, s2, s3, s4)
 
 
@@ -164,11 +165,17 @@ def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 
 def analyze(m: ModelParams) -> StabilityReport:
-    """Run both stability routes and the consistency cross-check."""
+    """Run both stability routes and the consistency cross-check.
+
+    The spectral abscissa is W_+'s, as the sweep gate and the Lyapunov
+    precheck take it, so all three reach one verdict on one model; the
+    eigenvalues listed are both sectors'.
+    """
     coeffs = rhsc_coefficients(m)
     h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
-    eigenvalues = drift_eigenvalues(build_drift(m))
-    abscissa = eigenvalues.real.max().item()
+    values = np.linalg.eigvals(split_drift(build_drift(m)))
+    eigenvalues = np.sort(values.reshape(8), kind="stable")
+    abscissa = values[0].real.max().item()
     eig_stable = abscissa < 0.0
     marginal = spectral_verdict(abscissa) == "marginal"
     return StabilityReport(

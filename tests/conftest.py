@@ -163,6 +163,12 @@ def cm_derivative(w, d, sigma):
     return w @ sigma + sigma @ w.T + d
 
 
+def lyapunov_residual(w, d, sigma):
+    """||W sigma + sigma W^T + D||_F / ||D||_F of an 8x8 candidate steady
+    state, in the 8x8 basis: an oracle for the solver's per-sector residual."""
+    return np.linalg.norm(cm_derivative(w, d, sigma)) / np.linalg.norm(d)
+
+
 def kronecker_sector_operator(sectors):
     """I (x) W_s + W_s (x) I for each sector of a (..., 2, 4, 4) stack: the
     Lyapunov operator on the row-major vec of a general sigma_s, as
@@ -181,10 +187,11 @@ def log_negativity(sigma, pair):
     return _log_negativity(_symmetric(sigma), pair)
 
 
-def physicality_check(sigma, tol=1e-9):
+def physicality_check(sigma):
     """`metric_row`'s 8x8 physicality kernel: True iff sigma + (i/2) Omega is
-    positive semidefinite within tol (a bool array for a stack)."""
-    return _plain(_positive_pivots(np.moveaxis(_symmetric(sigma), (-2, -1), (0, 1)), tol))
+    positive semidefinite within `metrics.PHYSICALITY_TOL` (a bool array for
+    a stack)."""
+    return _plain(_positive_pivots(np.moveaxis(_symmetric(sigma), (-2, -1), (0, 1))))
 
 
 def vidal_werner_negativity(sigma, pair):

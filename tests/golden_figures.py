@@ -83,7 +83,7 @@ def grid_fingerprint(result) -> dict:
 def trace_fingerprint(preset: TracePreset) -> dict:
     model = derive_model(preset.params)
     _, trajectory = evolve_to_steady(
-        build_drift(model), build_diffusion(model), initial_covariance(model), eps=preset.eps
+        build_drift(model), build_diffusion(model), initial_covariance(model)
     )
     return {
         "steps": len(trajectory.times) - 1,

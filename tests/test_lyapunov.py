@@ -16,7 +16,6 @@ from omsqueeze import (
     initial_covariance,
     metric_row,
     paper_base,
-    residual,
     solve_lyapunov,
 )
 
@@ -32,6 +31,7 @@ from conftest import (
     exchange_symmetric,
     kronecker_lyapunov,
     kronecker_sector_operator,
+    lyapunov_residual,
     match_eigenvalue_sets,
     model,
     physicality_check,
@@ -91,11 +91,11 @@ class TestResidual:
         m = model()
         w, d = build_drift(m), build_diffusion(m)
         sigma = np.diag([PAPER_N_C + 0.5] * 4 + [PAPER_N_M + 0.5] * 4)
-        assert residual(w, d, sigma) < 1e-15
+        assert lyapunov_residual(w, d, sigma) < 1e-15
 
     def test_zero_matrix_scores_one(self):
         m = model(0.2, 0.1, 0.4)
-        assert residual(build_drift(m), build_diffusion(m), np.zeros((8, 8))) == 1.0
+        assert lyapunov_residual(build_drift(m), build_diffusion(m), np.zeros((8, 8))) == 1.0
 
     def test_solver_self_check(self, appendix_c_model):
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
@@ -119,7 +119,7 @@ class TestResidual:
             w, d = build_drift(m), build_diffusion(m)
             solution = solve_lyapunov(w, d)
             assert solution.residual_norm <= 1e-13
-            assert residual(w, d, solution.sigma) <= 1e-13
+            assert lyapunov_residual(w, d, solution.sigma) <= 1e-13
             solved += 1
         assert solved >= len(PARAM_PRESETS)
 
@@ -423,7 +423,7 @@ class TestStabilityGateIntegration:
         w = build_drift(appendix_c_model)
         d = build_diffusion(appendix_c_model)
         sigma0 = initial_covariance(appendix_c_model)
-        assert residual(w, d, sigma0) > 1.0
+        assert lyapunov_residual(w, d, sigma0) > 1.0
 
 
 class TestOneSectorSpectrum:

@@ -115,8 +115,6 @@ class TestDeriveModel:
         assert m.G_minus == pytest.approx(0.2, rel=1e-14)
         assert m.G_plus == pytest.approx(0.1, rel=1e-14)
         assert m.lambda_pa == pytest.approx(0.4, rel=1e-14)
-        assert m.kappa == 1.0
-        assert m.omega_m == pytest.approx(8.0, rel=1e-14)
 
     def test_power_pipeline_reference_point(self):
         m = derive_model(paper_base(p_minus=10e-9, p_plus=0.0))
@@ -250,7 +248,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "name",
-        ["G_minus", "G_plus", "lambda_pa", "phi", "gamma", "n_c", "n_m", "omega_m", "kappa"],
+        ["G_minus", "G_plus", "lambda_pa", "phi", "gamma", "n_c", "n_m"],
     )
     def test_rejects_non_finite_model_fields(self, name, bad):
         fields = dict(G_minus=0.2, G_plus=0.1, lambda_pa=0.4, phi=0.0,

@@ -13,6 +13,7 @@ from omsqueeze import (
     rhsc_check,
     rhsc_coefficients,
 )
+from omsqueeze.matrices import split_drift
 
 from conftest import match_eigenvalue_sets, model, quartic_eigenvalues, random_models
 
@@ -240,10 +241,12 @@ class TestAnalyzeStack:
             f.name: np.array([getattr(m, f.name) for m in models]) for f in fields(ModelParams)
         })
         h1, h2, h3, rhsc_stable = rhsc_check(stacked)
-        spectra = drift_eigenvalues(build_drift(stacked))
+        drifts = build_drift(stacked)
+        spectra = drift_eigenvalues(drifts)
+        plus = np.linalg.eigvals(split_drift(drifts)[:, 0])  # the sweep gate's W_+
         for i, m in enumerate(models):
             single = analyze(m)
             assert (h1[i], h2[i], h3[i], rhsc_stable[i]) == (
                 single.h1, single.h2, single.h3, single.rhsc_stable)
             assert np.array_equal(spectra[i], single.eigenvalues)
-            assert spectra[i].real.max() == single.spectral_abscissa
+            assert plus[i].real.max() == single.spectral_abscissa

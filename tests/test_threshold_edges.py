@@ -12,8 +12,11 @@ from omsqueeze import (
     build_diffusion,
     build_drift,
     metric_row,
+    rhsc_check,
     solve_lyapunov,
 )
+from omsqueeze.lyapunov import solve_stable
+from omsqueeze.matrices import split_drift
 
 from conftest import (
     ORACLE_FACTOR,
@@ -94,3 +97,16 @@ def test_negativity_follows_vidal_werner(m):
     solution = solve_lyapunov(build_drift(m), build_diffusion(m))
     assert_negativity_follows_vidal_werner(solution.sigma)
     assert_sector_kernel_agrees(solution.sectors)
+
+
+@settings(max_examples=60)
+@given(edge_models)
+def test_one_point_verdict_is_the_gate_verdict(m):
+    """`analyze` takes its spectral abscissa from W_+, as the sweep gate
+    does, so the one-point verdict is the gate's, bit for bit, also where
+    W_-'s computed abscissa is the larger one."""
+    w, d = build_drift(m), build_diffusion(m)
+    report = analyze(m)
+    gate, _ = solve_stable(w[None], d[None], np.array([rhsc_check(m)[3]]))
+    assert report.stable == gate[0]
+    assert report.spectral_abscissa == np.linalg.eigvals(split_drift(w)[0]).real.max()
