@@ -5,11 +5,13 @@ Dormand-Prince 5(4) pair, records the covariance trace at every accepted
 step, and detects relaxation to the steady state.  All times are in units
 of 1/kappa.
 
-The stepper holds the state as the flat vector y = sigma.ravel() and
-builds the operator L = W (x) I + I (x) W once per run, so each stage is
-one tableau-row product over the stored stages and one L @ y + vec D.
-The integration never consults the Lyapunov solution: it is the
-independent check of it.
+The state is z, the n(n+1)/2 upper-triangle entries of the (exactly
+symmetric) sigma: z' = L z + d, so one DP5(4) trial step is exactly a
+polynomial in hL applied to f = L z + d (`_STEP_POLY`).  Each run builds
+the Krylov block [I; L; ...; L^6] once; each accepted state costs one
+product of it with f, and each trial one 2x7 by 7xm product.  The
+integration never consults the Lyapunov solution: it is the independent
+check of it.
 """
 
 from __future__ import annotations
@@ -38,27 +40,32 @@ MAX_RELAXATIONS = 1e4
 LOG_SAMPLES = 400
 LOG_T_MIN = 1e-2
 
-# Dormand-Prince 5(4) tableau (autonomous right-hand side, so no stage
-# times needed).  Row i of _A weighs the stages k_0..k_6 for stage i + 1;
-# the last row is b5, so the last stage argument is the 5th-order solution
-# and k_6 enters only the error row _E = b5 - b4.
-_A = np.array([
-    (1 / 5, 0, 0, 0, 0, 0, 0),
-    (3 / 40, 9 / 40, 0, 0, 0, 0, 0),
-    (44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0),
-    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0),
+# One DP5(4) trial step from z with f = L z + d, with the stages collapsed
+# in exact arithmetic: row 0 gives the 5th-order step and row 1 the error
+# estimate (5th minus 4th order), each as sum_m c_m h^(m+1) L^m f.
+_STEP_POLY = np.array([
+    (1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0),
+    (0, 0, 0, 0, -97 / 120000, 13 / 40000, -1 / 24000),
 ])
-_E = np.array(
-    (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-)
+_H_POWERS = np.arange(1, 8)
 
 
 def _vec_operator(w: np.ndarray) -> np.ndarray:
     """L = W (x) I + I (x) W: L @ sigma.ravel() = (W sigma + sigma W^T).ravel()."""
     eye = np.eye(w.shape[0])
     return np.kron(w, eye) + np.kron(eye, w)
+
+
+def _upper_form(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L_z, gather) on z = sigma[np.triu_indices(n)] for a symmetric sigma =
+    z[gather].reshape(n, n): L_z z are the upper entries of W sigma + sigma W^T,
+    taken from `_vec_operator`'s upper rows by summing columns (i, j) and (j, i)."""
+    n = w.shape[0]
+    rows, cols = np.triu_indices(n)
+    upper = rows * n + cols
+    gather = np.empty(n * n, dtype=int)
+    gather[upper] = gather[cols * n + rows] = np.arange(upper.size)
+    return _vec_operator(w)[upper] @ np.eye(upper.size)[gather], gather
 
 
 @dataclass
@@ -103,35 +110,34 @@ def _accepted_steps(
     targets: list[float],
 ) -> Iterator[tuple[float, np.ndarray, float]]:
     """Yield (t, sigma, ||sigma'||_F) for t=0 and every accepted step, with
-    errors held to REL_TOL and ABS_TOL.
+    errors held to REL_TOL and ABS_TOL in RMS over the n^2 entries of sigma.
 
     `targets` must be sorted ascending; the stepper lands on each exactly.
-    Iteration ends after the last target is reached.  The state is the flat
-    vector y = sigma.ravel(); each yielded sigma is a view of a vector that
-    is never written again.
+    Iteration ends after the last target is reached.
     """
     dot = np.dot  # for a matrix times a vector: a third of matmul's call overhead
     rel_tol, abs_tol = REL_TOL, ABS_TOL
     n = w.shape[0]
-    op = _vec_operator(w)
-    d_vec = d.ravel()
-    swap = np.arange(n * n).reshape(n, n).T.ravel()  # y[swap] = sigma.T.ravel()
-    y = ((sigma0 + sigma0.T) / 2.0).ravel()
+    op, gather = _upper_form(w)
+    count = np.bincount(gather)
+    krylov = np.concatenate([np.linalg.matrix_power(op, m) for m in range(7)])
+    upper = np.triu_indices(n)
+    d_z, z = d[upper], ((sigma0 + sigma0.T) / 2.0)[upper]
+
+    def norm(v: np.ndarray) -> float:  # of the symmetric matrix with upper entries v
+        return math.sqrt(dot(v * count, v))
+
     t = 0.0
-    f_cur = dot(op, y) + d_vec
-    f_norm = math.sqrt(f_cur @ f_cur)
-    yield t, y.reshape(n, n), f_norm
+    powers = dot(krylov, dot(op, z) + d_z).reshape(7, -1)  # L^m f, m = 0..6
+    f_norm = norm(powers[0])
+    yield t, z[gather].reshape(n, n), f_norm
 
     pending = [x for x in targets if x > 0.0]
     if not pending:
         return
-    h = 0.01 * (math.sqrt(y @ y) + abs_tol) / (f_norm + 1e-300)
+    h = 0.01 * (norm(z) + abs_tol) / (f_norm + 1e-300)
     h = min(max(h, MIN_STEP * 10), pending[-1] / 10, 1.0)
 
-    # Stage i + 1 weighs rows i + 1.. of k by zero, so those stale rows must
-    # stay finite (0 * inf is nan): a non-finite k_1..k_5 makes y_new
-    # non-finite, which raises, and a non-finite k_6 is cleared below.
-    k = np.zeros((7, n * n))
     rejected = False
     while pending:
         target = pending[0]
@@ -142,31 +148,25 @@ def _accepted_steps(
                 f"step size underflow ({h_try:.3e} < {MIN_STEP:.0e}) at t={t:.6g}"
             )
 
-        k[0] = f_cur
-        for i, row in enumerate(h_try * _A):
-            y_new = y + dot(row, k)
-            k[i + 1] = dot(op, y_new) + d_vec
-        # y_new is now the last stage argument, the 5th-order solution.
-
-        if not y_new @ y_new <= DIVERGENCE_NORM**2:  # also catches inf and nan
+        step, err_vec = dot(_STEP_POLY * h_try**_H_POWERS, powers)
+        z_new = z + step
+        if not norm(z_new) <= DIVERGENCE_NORM:  # also catches inf and nan
             raise DivergenceError(
                 f"covariance diverged at t={t:.6g} (unstable drift integrated too long)"
             )
 
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = dot(h_try * _E, k) / scale
-        err = math.sqrt(ratio @ ratio / ratio.size)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
+        err = norm(err_vec / scale) / n
         if not math.isfinite(err):
-            k[6] = 0.0
             h = h_try * 0.2
             rejected = True
             continue
 
         if err <= 1.0:
             t = target if (target - t - h_try) < 1e-12 * max(1.0, target) else t + h_try
-            y = (y_new + y_new[swap]) / 2.0
-            f_cur = dot(op, y) + d_vec
-            yield t, y.reshape(n, n), math.sqrt(f_cur @ f_cur)
+            z = z_new
+            powers = dot(krylov, dot(op, z) + d_z).reshape(7, -1)
+            yield t, z[gather].reshape(n, n), norm(powers[0])
             while pending and t >= pending[0] - 1e-12 * max(1.0, pending[0]):
                 pending.pop(0)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))

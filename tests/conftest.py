@@ -1,6 +1,7 @@
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from omsqueeze import (
     run_sweep,
     symplectic_form,
 )
+from omsqueeze.dynamics import _vec_operator
 from omsqueeze.matrices import MODE_1, MODE_2, QUADRATURES, join_sectors, require_symmetric
 from omsqueeze.metrics import (
     PAIR_INDICES,
@@ -158,9 +160,39 @@ def kronecker_lyapunov(w, d):
 
 def cm_derivative(w, d, sigma):
     """Right-hand side W sigma + sigma W^T + D of the covariance ODE in
-    matrix form; the stepper applies the same map to sigma.ravel() through
-    `dynamics._vec_operator`."""
+    matrix form; `dynamics._vec_operator` applies the same map to
+    sigma.ravel()."""
     return w @ sigma + sigma @ w.T + d
+
+
+# Dormand-Prince 5(4) tableau (autonomous right-hand side, so no stage
+# times).  Row i of DP5_A weighs the stages k_0..k_i for stage i + 1; the
+# last row is b5, so the last stage argument is the 5th-order solution and
+# k_6 enters only the error row DP5_E = b5 - b4.
+DP5_A = (
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
+    (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)),
+)
+DP5_E = (F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200),
+         F(22, 525), F(-1, 40))
+
+
+def dp5_stage_step(w, d, sigma, h):
+    """One DP5(4) trial step of the covariance ODE from sigma, stage by
+    stage on vec sigma with `dynamics._vec_operator`: the stepper's
+    arithmetic before it collapsed the stages.  Returns the 5th-order sigma
+    and the error estimate, both n x n."""
+    op, d_vec, y = _vec_operator(w), d.ravel(), sigma.ravel()
+    k = [op @ y + d_vec]
+    for row in DP5_A:
+        y_new = y + h * sum(float(a) * k_i for a, k_i in zip(row, k))
+        k.append(op @ y_new + d_vec)
+    err = h * sum(float(e) * k_i for e, k_i in zip(DP5_E, k))
+    return y_new.reshape(sigma.shape), err.reshape(sigma.shape)
 
 
 def lyapunov_residual(w, d, sigma):

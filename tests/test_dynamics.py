@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -17,9 +18,29 @@ from omsqueeze import (
     solve_lyapunov,
 )
 from omsqueeze import dynamics
-from omsqueeze.dynamics import _vec_operator
+from omsqueeze.dynamics import _upper_form, _vec_operator
 
-from conftest import PAPER_N_C, PAPER_N_M, cm_derivative, model, random_models
+from conftest import (
+    DP5_A,
+    DP5_E,
+    PAPER_N_C,
+    PAPER_N_M,
+    cm_derivative,
+    dp5_stage_step,
+    model,
+    random_models,
+)
+
+
+def oracle_drifts():
+    """Drifts for the stepper's oracle tests: model drifts, the 1x1 scalar
+    and a non-normal W (a chain of strong one-way couplings)."""
+    non_normal = -np.eye(4) + np.diag([30.0, 30.0, 30.0], 1)
+    non_normal[3, 3] = -2.0
+    return [build_drift(m) for m in random_models(3, seed=20261019)] + [
+        np.array([[-0.5]]),
+        non_normal,
+    ]
 
 
 class TestCmDerivative:
@@ -50,7 +71,8 @@ class TestCmDerivative:
 
 
 class TestVecOperator:
-    """The stepper's flat right-hand side against the matrix form."""
+    """The vec-form right-hand side, from which the stepper takes its
+    operator, against the matrix form."""
 
     def test_matches_cm_derivative(self):
         rng = np.random.default_rng(11)
@@ -62,6 +84,67 @@ class TestVecOperator:
                 expected = cm_derivative(w, d, sigma).ravel()
                 scale = np.linalg.norm(w) * np.linalg.norm(sigma) + np.linalg.norm(d)
                 assert np.max(np.abs(flat - expected)) <= 1e-14 * scale
+
+
+class TestStepPolynomial:
+    """The stepper's collapsed DP5(4) step against the Dormand-Prince tableau."""
+
+    def test_constants_are_the_collapsed_tableau(self):
+        def combine(weights, polys):
+            out = [F(0)] * 8
+            for c, poly in zip(weights, polys):
+                for m, a in enumerate(poly):
+                    out[m] += c * a
+            return out
+
+        # Stage k_i as coefficients of (hL)^m f: k_0 = f, and stage i + 1 is
+        # evaluated at z + h sum_j A_ij k_j, so k_(i+1) = f + hL sum_j A_ij k_j.
+        stages = [[F(1)]]
+        for row in DP5_A:
+            stages.append([F(1)] + combine(row, stages)[:7])
+        step = combine(DP5_A[-1], stages)
+        err = combine(DP5_E, stages)
+        # Taylor's e^(hL) to 4th order; 1/600 in place of 1/720.
+        assert step[:5] == [F(1, math.factorial(m + 1)) for m in range(5)]
+        assert step[5:] == [F(1, 600), F(0), F(0)]
+        assert err[:4] == [0] * 4 and err[7] == 0
+        assert [float(c) for c in step[:7]] == dynamics._STEP_POLY[0].tolist()
+        assert [float(c) for c in err[:7]] == dynamics._STEP_POLY[1].tolist()
+
+    @pytest.mark.parametrize("h_norm", [1e-3, 0.1, 1.0, 3.0])
+    def test_one_step_matches_stage_wise_dp5(self, h_norm, monkeypatch):
+        """The first accepted step of length h equals the tableau's stages
+        evaluated on vec sigma, for h ||L||_2 from 1e-3 to 3."""
+        # Accept any step, and start from the cap of a tenth of the last
+        # target, here h.
+        monkeypatch.setattr(dynamics, "ABS_TOL", 1e100)
+        rng = np.random.default_rng(7)
+        h = 0.5
+        for w in oracle_drifts():
+            n = w.shape[0]
+            w = w * (h_norm / (h * np.linalg.norm(_vec_operator(w), 2)))
+            s, a = rng.normal(size=(2, n, n))
+            sigma0, d = s + s.T, a @ a.T
+            steps = dynamics._accepted_steps(w, d, sigma0, [h, 10 * h])
+            next(steps)
+            t, sigma, _ = next(steps)
+            expected, _ = dp5_stage_step(w, d, sigma0, h)
+            assert t == h
+            assert np.linalg.norm(sigma - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_upper_operator_matches_vec_operator(self):
+        rng = np.random.default_rng(5)
+        for w in oracle_drifts():
+            n = w.shape[0]
+            s = rng.normal(size=(n, n))
+            sigma = s + s.T
+            op, gather = _upper_form(w)
+            upper = np.triu_indices(n)
+            z = sigma[upper]
+            np.testing.assert_array_equal(z[gather].reshape(n, n), sigma)
+            full = (_vec_operator(w) @ sigma.ravel()).reshape(n, n)[upper]
+            scale = np.linalg.norm(w) * np.linalg.norm(sigma)
+            assert np.max(np.abs(op @ z - full)) <= 1e-14 * scale
 
 
 class TestIntegrate:
@@ -101,7 +184,7 @@ class TestIntegrate:
             sigma, trajectory = integrate(w, d, sigma0, t_end=t_end)
             assert trajectory.times[-1] == t_end
             assert np.trace(sigma) == trajectory.traces[-1]
-            np.testing.assert_allclose(sigma, sigma.T, atol=1e-11)
+            np.testing.assert_array_equal(sigma, sigma.T)
 
     def test_snapshot_accuracy_against_closed_form(self):
         kappa, n, s0 = 1.0, 0.0, 4.0
@@ -137,6 +220,21 @@ class TestIntegrate:
         d = np.eye(8)
         with pytest.raises(StiffnessError):
             integrate(w, d, np.eye(8) * 3.0, t_end=10.0)
+
+    @pytest.mark.parametrize("rate, error", [
+        (1e16, StiffnessError),
+        (1e40, DivergenceError),
+        (1e60, DivergenceError),
+        (1e100, DivergenceError),
+    ])
+    def test_extreme_rate_verdicts(self, rate, error):
+        """W = -rate I at the default tolerances: the step size underflows, or
+        the first trial overflows.  numpy reports that overflow as a
+        RuntimeWarning, which this suite's warning filter would raise in
+        place of the verdict, so the check runs with it silenced."""
+        w = np.diag([-rate] * 8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+            integrate(w, np.eye(8), np.eye(8) * 3.0, t_end=10.0)
 
     def test_trace_matches_exact_solution_at_every_step(self, appendix_c_model):
         # sigma(t) = e^{Wt} (sigma0 - sigma_inf) e^{W^T t} + sigma_inf
