@@ -18,7 +18,7 @@ from omsqueeze import (
     solve_lyapunov,
 )
 from omsqueeze import dynamics
-from omsqueeze.dynamics import _upper_form, _vec_operator
+from omsqueeze.dynamics import _svec_basis, _upper_form, _vec_operator
 
 from conftest import (
     DP5_A,
@@ -30,6 +30,12 @@ from conftest import (
     model,
     random_models,
 )
+
+
+def from_svec(y, n):
+    """The symmetric n x n sigma whose svec is y."""
+    s, _, gather = _svec_basis(n)
+    return (y / s)[gather].reshape(n, n)
 
 
 def oracle_drifts():
@@ -113,8 +119,8 @@ class TestStepPolynomial:
 
     @pytest.mark.parametrize("h_norm", [1e-3, 0.1, 1.0, 3.0])
     def test_one_step_matches_stage_wise_dp5(self, h_norm, monkeypatch):
-        """The first accepted step of length h equals the tableau's stages
-        evaluated on vec sigma, for h ||L||_2 from 1e-3 to 3."""
+        """The first accepted step of length h, unscaled from svec, equals the
+        tableau's stages evaluated on vec sigma, for h ||L||_2 from 1e-3 to 3."""
         # Accept any step, and start from the cap of a tenth of the last
         # target, here h.
         monkeypatch.setattr(dynamics, "ABS_TOL", 1e100)
@@ -127,24 +133,38 @@ class TestStepPolynomial:
             sigma0, d = s + s.T, a @ a.T
             steps = dynamics._accepted_steps(w, d, sigma0, [h, 10 * h])
             next(steps)
-            t, sigma, _ = next(steps)
+            t, y, _ = next(steps)
+            sigma = from_svec(y, n)
             expected, _ = dp5_stage_step(w, d, sigma0, h)
             assert t == h
             assert np.linalg.norm(sigma - expected) <= 1e-13 * np.linalg.norm(expected)
 
+    def test_svec_norm_and_round_trip(self):
+        """||svec(sigma)||_2 = ||sigma||_F, and sigma comes back from its svec."""
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 4, 8):
+            s, upper, _ = _svec_basis(n)
+            for _ in range(20):
+                a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+                sigma = a + a.T
+                y = s * sigma[upper]
+                assert np.dot(y, y) == pytest.approx(np.sum(sigma * sigma), rel=1e-14)
+                np.testing.assert_allclose(from_svec(y, n), sigma, rtol=1e-15, atol=0)
+                np.testing.assert_array_equal(from_svec(y, n), from_svec(y, n).T)
+
     def test_upper_operator_matches_vec_operator(self):
+        """L_y svec(sigma) = svec(W sigma + sigma W^T), with the right-hand side
+        taken from `_vec_operator` on vec sigma."""
         rng = np.random.default_rng(5)
         for w in oracle_drifts():
             n = w.shape[0]
-            s = rng.normal(size=(n, n))
-            sigma = s + s.T
-            op, gather = _upper_form(w)
-            upper = np.triu_indices(n)
-            z = sigma[upper]
-            np.testing.assert_array_equal(z[gather].reshape(n, n), sigma)
-            full = (_vec_operator(w) @ sigma.ravel()).reshape(n, n)[upper]
+            s, upper, _ = _svec_basis(n)
+            a = rng.normal(size=(n, n))
+            sigma = a + a.T
+            full = (_vec_operator(w) @ sigma.ravel()).reshape(n, n)
             scale = np.linalg.norm(w) * np.linalg.norm(sigma)
-            assert np.max(np.abs(op @ z - full)) <= 1e-14 * scale
+            got = _upper_form(w) @ (s * sigma[upper])
+            assert np.max(np.abs(got - s * full[upper])) <= 1e-14 * scale
 
 
 class TestIntegrate:
@@ -226,15 +246,26 @@ class TestIntegrate:
         (1e40, DivergenceError),
         (1e60, DivergenceError),
         (1e100, DivergenceError),
+        (1e300, DivergenceError),
     ])
     def test_extreme_rate_verdicts(self, rate, error):
         """W = -rate I at the default tolerances: the step size underflows, or
-        the first trial overflows.  numpy reports that overflow as a
-        RuntimeWarning, which this suite's warning filter would raise in
-        place of the verdict, so the check runs with it silenced."""
+        the first trial overflows.  The verdict holds under this suite's
+        warning filter, which turns any RuntimeWarning into an error."""
         w = np.diag([-rate] * 8)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+        with pytest.raises(error):
             integrate(w, np.eye(8), np.eye(8) * 3.0, t_end=10.0)
+
+    def test_recorded_traces_are_np_trace_bit_for_bit(self, appendix_c_model):
+        """Each recorded trace is `np.trace` of that step's sigma, to the bit:
+        the diagonal is summed in the order `np.trace` sums it."""
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        sigma0 = initial_covariance(appendix_c_model)
+        _, trajectory = integrate(w, d, sigma0, t_end=10.0)
+        states = [y for _, y, _ in dynamics._accepted_steps(w, d, sigma0, [10.0])]
+        assert len(states) == len(trajectory.traces) > 10
+        for y, trace in zip(states, trajectory.traces):
+            assert trace == np.trace(from_svec(y, 8))
 
     def test_trace_matches_exact_solution_at_every_step(self, appendix_c_model):
         # sigma(t) = e^{Wt} (sigma0 - sigma_inf) e^{W^T t} + sigma_inf
