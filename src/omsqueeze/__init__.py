@@ -14,7 +14,6 @@ from .errors import (
     DivergenceError,
     EmptySweepError,
     PhysicalityError,
-    StiffnessError,
     ThresholdError,
     UnstableSystemError,
 )

@@ -21,7 +21,6 @@ from .errors import (
     DivergenceError,
     EmptySweepError,
     PhysicalityError,
-    StiffnessError,
     ThresholdError,
     UnstableSystemError,
 )
@@ -216,10 +215,10 @@ def cmd_evolve(args) -> int:
     sigma, trajectory = _relax(_load_params(args), eps=args.eps, t_end=args.t_end)
     if args.t_end is not None:
         print(f"integrated to t = {_fmt(args.t_end)} / kappa "
-              f"({len(trajectory.times)} accepted steps)")
+              f"({len(trajectory.times)} samples)")
     else:
         print(f"converged at t = {_fmt(trajectory.t_converged)} / kappa "
-              f"({len(trajectory.times)} accepted steps)")
+              f"({len(trajectory.times)} samples)")
     print(f"trace: initial = {_fmt(trajectory.traces[0])}  "
           f"final = {_fmt(trajectory.traces[-1])}")
     if args.t_end is None:
@@ -410,7 +409,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ThresholdError,
         OverflowError,
-        StiffnessError,
         DivergenceError,
         ConvergenceError,
         PhysicalityError,

@@ -1,54 +1,52 @@
 """Time integration of the covariance equation of motion.
 
-Integrates sigma' = W sigma + sigma W^T + D with an adaptive embedded
-Dormand-Prince 5(4) pair, records the covariance trace at every accepted
-step, and detects relaxation to the steady state.  All times are in units
-of 1/kappa.
+Relaxes sigma' = W sigma + sigma W^T + D with its exact propagator on a
+uniform time grid, records the covariance trace at every grid time, and
+detects relaxation to the steady state.  All times are in units of 1/kappa.
 
 The state is y = svec(sigma): the n(n+1)/2 upper-triangle entries of the
 (exactly symmetric) sigma, off-diagonal ones times sqrt(2), so ||y||_2 =
-||sigma||_F and each norm the stepper takes is one dot product.  On y,
-y' = L y + d, and one DP5(4) trial step is exactly a polynomial in hL applied
-to f = L y + d (`_STEP_POLY`).  Each run multiplies the Krylov block [I; L;
-...; L^6] by L and by d once (K_L, K_d); an accepted state costs K_L y + K_d,
-a trial one 2x7 by 7xm product; sigma and the traces are rebuilt at the end.
-The integration never consults the Lyapunov solution: it checks it.
+||sigma||_F.  On y the equation is the constant-coefficient flow y' = L y + d,
+so with e^(hA) = [[Phi, g], [0, 1]] for A = [[L, d], [0, 0]] (`_expm_chain`,
+Pade-13 scaling and squaring) one step of length h is exactly y <- Phi y + g.
+sigma' = L y + d obeys the homogeneous flow, f <- Phi f, so ||sigma'||_F keeps
+full relative precision down to the steady state.  Samples before the first
+step, log-spaced from LOG_T_MIN, come from the squaring chain e^(hA / 2^k)
+and are for output only.  The integration never consults the Lyapunov
+solution: it checks it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, StiffnessError
+from .errors import ConvergenceError, DivergenceError
 
-MIN_STEP = 1e-14
 DIVERGENCE_NORM = 1e150
 
-# Step-error tolerances: relative to the state, and absolute.
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
 # Steady-state threshold on ||sigma'||_F / ||D||_F.
 STEADY_EPS = 1e-8
 # The steady-state window and the give-up time, in relaxation times of the
 # slowest drift mode (1 / |spectral abscissa|).
 WINDOW_RELAXATIONS = 10.0
 MAX_RELAXATIONS = 1e4
+# Grid steps per steady-state window, and per `integrate` horizon.
+GRID_STEPS = 40
 # `Trajectory.resample_log`: samples on a log grid from LOG_T_MIN (1/kappa).
 LOG_SAMPLES = 400
 LOG_T_MIN = 1e-2
 
-# One DP5(4) trial step from y with f = L y + d, with the stages collapsed
-# in exact arithmetic: row 0 gives the 5th-order step and row 1 the error
-# estimate (5th minus 4th order), each as sum_m c_m h^(m+1) L^m f.
-_STEP_POLY = np.array([
-    (1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0),
-    (0, 0, 0, 0, -97 / 120000, 13 / 40000, -1 / 24000),
-])
-_H_POWERS = np.arange(1.0, 8.0)  # float: int exponents cost a cast per step
+# Pade-13 coefficients of e^x, and the 1-norm up to which that approximant
+# needs no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA_13 = 5.371920351148152
 
 
 def _vec_operator(w: np.ndarray) -> np.ndarray:
@@ -75,6 +73,35 @@ def _upper_form(w: np.ndarray) -> np.ndarray:
     return s[:, None] * l_z / s
 
 
+def _squarings(a: np.ndarray) -> int:
+    """The fewest squarings s with ||a / 2^s||_1 <= _THETA_13, for a finite a."""
+    norm = np.abs(a).sum(axis=0).max()
+    return max(0, math.ceil(math.log2(norm / _THETA_13))) if norm > 0 else 0
+
+
+def _expm_chain(a: np.ndarray, squarings: int) -> list[np.ndarray]:
+    """[e^(a / 2^s), ..., e^(a / 2), e^a] for s = `squarings`, which must be at
+    least `_squarings(a)`: the Pade-13 approximant of e^(a / 2^s), squared s
+    times.  a's last row must be zero, as in [[hL, hd], [0, 0]]; e^a's last row
+    is then (0, ..., 0, 1), and is set so exactly, which keeps the squarings
+    from scaling the last column by a drifting 1."""
+    b = _PADE13
+    a = a * 2.0**-squarings
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    chain = [np.linalg.solve(v - u, v + u)]
+    chain[0][-1] = eye[-1]
+    for _ in range(squarings):
+        chain.append(chain[-1] @ chain[-1])
+    return chain
+
+
 @dataclass
 class Trajectory:
     """Trace record of one covariance integration (times in 1/kappa)."""
@@ -86,7 +113,7 @@ class Trajectory:
 
     def resample_log(self) -> tuple[np.ndarray, np.ndarray]:
         """Samples on a log-spaced time grid (plot-friendly): the first
-        accepted step at or after each grid time, duplicates dropped."""
+        recorded sample at or after each grid time, duplicates dropped."""
         t_last = self.times[-1]
         if t_last <= LOG_T_MIN:
             return self.times, self.traces
@@ -110,79 +137,48 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _accepted_steps(
-    w: np.ndarray,
-    d: np.ndarray,
-    sigma0: np.ndarray,
-    targets: list[float],
-) -> Iterator[tuple[float, np.ndarray, float]]:
-    """Yield (t, y = svec(sigma), ||sigma'||_F) at t=0 and every accepted step,
-    with errors held to REL_TOL and ABS_TOL in RMS over the n^2 entries of sigma.
-
-    `targets` must be sorted ascending; the stepper lands on each exactly.
-    Iteration ends after the last target is reached.
+def _exact_steps(
+    w: np.ndarray, d: np.ndarray, sigma0: np.ndarray, span: float
+) -> Iterator[tuple[float, np.ndarray, float | None]]:
+    """Yield (t, y = svec(sigma), ||sigma'||_F) at t = 0 and at t = span * k /
+    GRID_STEPS for k = 1, 2, ... without end; between 0 and the first step, at
+    t = h / 2^k from LOG_T_MIN up, samples for output only, whose norm is None.
     """
-    n, op = w.shape[0], _upper_form(w)
-    s, upper, _ = _svec_basis(n)
-    abs_tol, rel = ABS_TOL, REL_TOL / s  # error floor ABS_TOL + REL_TOL |sigma_ij|, on y
-    krylov = np.concatenate([np.linalg.matrix_power(op, m) for m in range(7)])
-    # ndarray.dot throughout: np.dot adds a dispatch wrapper to every call
-    k_l, k_d = krylov.dot(op), krylov.dot(s * d[upper])
+    s, upper, _ = _svec_basis(w.shape[0])
+    m, h = s.size, span / GRID_STEPS
+    op, drive = _upper_form(w), s * d[upper]
+    a = np.zeros((m + 1, m + 1))
+    a[:m, :m], a[:m, m] = h * op, h * drive
+    if not np.isfinite(a).all():
+        raise DivergenceError(f"covariance diverged: the step e^(hL) overflows at h={h:.6g}")
+
     y = s * ((sigma0 + sigma0.T) / 2.0)[upper]
+    f = op.dot(y) + drive
+    yield 0.0, y, math.sqrt(f.dot(f))
 
-    t = 0.0
-    powers = (k_l.dot(y) + k_d).reshape(7, -1)  # L^m f, m = 0..6
-    f = powers[0]
-    yield t, y, math.sqrt(f.dot(f))
+    # Steps start from sigma0 with a normally scaled e^(hA): the extra
+    # squarings down to LOG_T_MIN cost accuracy and are for output only.
+    natural = _squarings(a)
+    early = max(0, math.floor(math.log2(h) - math.log2(LOG_T_MIN)))
+    chain = _expm_chain(a, max(natural, early))
+    for k in range(early, 0, -1):
+        e = chain[-1 - k]
+        yield h * 0.5**k, e[:m, :m].dot(y) + e[:m, m], None
+    e = chain[-1] if natural >= early else _expm_chain(a, natural)[-1]
 
-    pending = [x for x in targets if x > 0.0]
-    if not pending:
-        return
-    h = 0.01 * (math.sqrt(y.dot(y)) + abs_tol) / (math.sqrt(f.dot(f)) + 1e-300)
-    h = min(max(h, MIN_STEP * 10), pending[-1] / 10, 1.0)
-
-    floor, rejected = abs_tol + rel * np.abs(y), False
-    while pending:
-        target = pending[0]
-        clamped = target - t < h
-        h_try = min(h, target - t)
-        if h_try < MIN_STEP:
-            raise StiffnessError(
-                f"step size underflow ({h_try:.3e} < {MIN_STEP:.0e}) at t={t:.6g}"
-            )
-
-        step = (_STEP_POLY * h_try**_H_POWERS).dot(powers)
-        y_new = y + step[0]
-        if not math.sqrt(y_new.dot(y_new)) <= DIVERGENCE_NORM:  # also inf and nan
+    # Rows [y; f] step together: [y; f] <- [y; f] Phi^T + [g; 0].
+    phi_t, shift = e[:m, :m].T.copy(), np.zeros((2, m))
+    shift[0] = e[:m, m]
+    state = np.stack([y, f])
+    for k in itertools.count(1):
+        state = state.dot(phi_t) + shift
+        y, f = state
+        if not math.sqrt(y.dot(y)) <= DIVERGENCE_NORM:  # also inf and nan
             raise DivergenceError(
-                f"covariance diverged at t={t:.6g} (unstable drift integrated too long)"
+                f"covariance diverged at t={span * (k / GRID_STEPS):.6g} "
+                "(unstable drift integrated too long)"
             )
-
-        floor_new = abs_tol + rel * np.abs(y_new)
-        err_vec = step[1] / np.maximum(floor, floor_new)
-        err = math.sqrt(err_vec.dot(err_vec)) / n
-        if not math.isfinite(err):
-            h = h_try * 0.2
-            rejected = True
-            continue
-
-        if err <= 1.0:
-            t = target if (target - t - h_try) < 1e-12 * max(1.0, target) else t + h_try
-            y, floor = y_new, floor_new
-            powers = (k_l.dot(y) + k_d).reshape(7, -1)
-            f = powers[0]
-            yield t, y, math.sqrt(f.dot(f))
-            while pending and t >= pending[0] - 1e-12 * max(1.0, pending[0]):
-                pending.pop(0)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            if rejected:
-                factor = min(factor, 1.0)
-            if not (clamped and factor >= 1.0):
-                h = h_try * factor
-            rejected = False
-        else:
-            h = h_try * max(0.2, 0.9 * err ** -0.2)
-            rejected = True
+        yield span * (k / GRID_STEPS), y, math.sqrt(f.dot(f))
 
 
 def _record(times: list[float], states: list[np.ndarray], n: int,
@@ -198,7 +194,8 @@ def _record(times: list[float], states: list[np.ndarray], n: int,
 def integrate(
     w: np.ndarray, d: np.ndarray, sigma0: np.ndarray, t_end: float
 ) -> tuple[np.ndarray, Trajectory]:
-    """Integrate the covariance ODE: sigma(t_end), and Tr sigma per accepted step."""
+    """Integrate the covariance ODE: sigma(t_end), and Tr sigma at GRID_STEPS
+    uniform steps to t_end (and the early samples before the first)."""
     _require_positive(t_end=t_end)
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -207,9 +204,11 @@ def integrate(
     times, states = [], []
     # Overflow gives a non-finite state: DivergenceError, whatever the warning filter.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, y, _ in _accepted_steps(w, d, sigma0, [t_end]):
+        for t, y, _ in _exact_steps(w, d, sigma0, t_end):
             times.append(t)
             states.append(y)
+            if t == t_end:
+                break
     return _record(times, states, w.shape[0], None)
 
 
@@ -222,10 +221,11 @@ def evolve_to_steady(
     """Relax the covariance until ||sigma'||_F stays below eps ||D||_F.
 
     The drop below threshold must be sustained over a trailing window of
-    WINDOW_RELAXATIONS relaxation times (from the spectral abscissa); after
-    MAX_RELAXATIONS of them without that, ConvergenceError.  Unstable
-    drifts are not rejected up front: integration then grows exponentially
-    and raises DivergenceError, which is itself the verdict.
+    WINDOW_RELAXATIONS relaxation times (from the spectral abscissa), which
+    the grid divides into GRID_STEPS steps; after MAX_RELAXATIONS of them
+    without that, ConvergenceError.  Unstable drifts are not rejected up
+    front: integration then grows exponentially and raises DivergenceError,
+    which is itself the verdict.
     """
     _require_positive(eps=eps)
     w = np.asarray(w, dtype=float)
@@ -239,24 +239,20 @@ def evolve_to_steady(
 
     threshold = eps * float(np.linalg.norm(d))
     times, states = [], []
-    streak_start: float | None = None
+    streak = 0  # grid times in a row below threshold
     t_converged = None
-
-    # Chunked targets keep steps aligned with the window bookkeeping.
-    chunk = window / 4.0
-    targets = np.arange(chunk, max_time + chunk / 2, chunk).tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # as in `integrate`
-        for t, y, deriv_norm in _accepted_steps(w, d, sigma0, targets):
+        for t, y, deriv_norm in _exact_steps(w, d, sigma0, window):
+            if t > max_time:
+                break
             times.append(t)
             states.append(y)
-            if deriv_norm < threshold:
-                if streak_start is None:
-                    streak_start = t
-                elif t - streak_start >= window:
-                    t_converged = t
-                    break
-            else:
-                streak_start = None
+            if deriv_norm is None:  # an output-only early sample
+                continue
+            streak = streak + 1 if deriv_norm < threshold else 0
+            if streak > GRID_STEPS:  # below threshold from one window back to now
+                t_converged = t
+                break
 
     if t_converged is None:
         raise ConvergenceError(

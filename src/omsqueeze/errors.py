@@ -13,10 +13,6 @@ class UnstableSystemError(RuntimeError):
     """A steady-state computation was requested for an unstable drift."""
 
 
-class StiffnessError(RuntimeError):
-    """The adaptive integrator drove the step size below its floor."""
-
-
 class DivergenceError(RuntimeError):
     """The integrated covariance grew without bound (unstable drift)."""
 

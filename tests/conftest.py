@@ -183,9 +183,9 @@ DP5_E = (F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200),
 
 def dp5_stage_step(w, d, sigma, h):
     """One DP5(4) trial step of the covariance ODE from sigma, stage by
-    stage on vec sigma with `dynamics._vec_operator`: the stepper's
-    arithmetic before it collapsed the stages.  Returns the 5th-order sigma
-    and the error estimate, both n x n."""
+    stage on vec sigma with `dynamics._vec_operator`: an integrator
+    independent of the exact steps, for checking them.  Returns the
+    5th-order sigma and the error estimate, both n x n."""
     op, d_vec, y = _vec_operator(w), d.ravel(), sigma.ravel()
     k = [op @ y + d_vec]
     for row in DP5_A:

@@ -5,7 +5,8 @@
 writes tests/golden/figures.json.  For each grid preset it holds the row,
 stable and physical counts, per metric column the finite count, min, max,
 sum and first argmax, and every printed `optimum[...]` line; for the fig9
-trace, the accepted step count, t_converged and the plateau.
+trace, the sample count (early samples and grid steps), t_converged and the
+plateau.
 `tests/test_figures.py` compares a fresh run against the file.
 
 A change that moves cells on purpose regenerates the file and lists the

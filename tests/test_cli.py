@@ -147,7 +147,7 @@ class TestEvolveCommand:
         def never_step(*args, **kwargs):
             raise AssertionError("the integrator ran")
 
-        monkeypatch.setattr("omsqueeze.dynamics._accepted_steps", never_step)
+        monkeypatch.setattr("omsqueeze.dynamics._exact_steps", never_step)
         assert main(["evolve", "--preset", "appendixC", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err

@@ -1,15 +1,15 @@
 import math
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from omsqueeze import (
     ConvergenceError,
     DivergenceError,
-    StiffnessError,
     Trajectory,
+    analyze,
     build_diffusion,
     build_drift,
     evolve_to_steady,
@@ -18,11 +18,17 @@ from omsqueeze import (
     solve_lyapunov,
 )
 from omsqueeze import dynamics
-from omsqueeze.dynamics import _svec_basis, _upper_form, _vec_operator
+from omsqueeze.dynamics import (
+    GRID_STEPS,
+    _expm_chain,
+    _squarings,
+    _svec_basis,
+    _upper_form,
+    _vec_operator,
+)
 
 from conftest import (
-    DP5_A,
-    DP5_E,
+    ORACLE_FACTOR,
     PAPER_N_C,
     PAPER_N_M,
     cm_derivative,
@@ -30,6 +36,7 @@ from conftest import (
     model,
     random_models,
 )
+from test_threshold_edges import edge_models
 
 
 def from_svec(y, n):
@@ -93,37 +100,14 @@ class TestVecOperator:
 
 
 class TestStepPolynomial:
-    """The stepper's collapsed DP5(4) step against the Dormand-Prince tableau."""
-
-    def test_constants_are_the_collapsed_tableau(self):
-        def combine(weights, polys):
-            out = [F(0)] * 8
-            for c, poly in zip(weights, polys):
-                for m, a in enumerate(poly):
-                    out[m] += c * a
-            return out
-
-        # Stage k_i as coefficients of (hL)^m f: k_0 = f, and stage i + 1 is
-        # evaluated at z + h sum_j A_ij k_j, so k_(i+1) = f + hL sum_j A_ij k_j.
-        stages = [[F(1)]]
-        for row in DP5_A:
-            stages.append([F(1)] + combine(row, stages)[:7])
-        step = combine(DP5_A[-1], stages)
-        err = combine(DP5_E, stages)
-        # Taylor's e^(hL) to 4th order; 1/600 in place of 1/720.
-        assert step[:5] == [F(1, math.factorial(m + 1)) for m in range(5)]
-        assert step[5:] == [F(1, 600), F(0), F(0)]
-        assert err[:4] == [0] * 4 and err[7] == 0
-        assert [float(c) for c in step[:7]] == dynamics._STEP_POLY[0].tolist()
-        assert [float(c) for c in err[:7]] == dynamics._STEP_POLY[1].tolist()
+    """One exact step against the stage-wise Dormand-Prince 5(4) tableau, an
+    independent integrator, and the svec basis the steps run on."""
 
     @pytest.mark.parametrize("h_norm", [1e-3, 0.1, 1.0, 3.0])
-    def test_one_step_matches_stage_wise_dp5(self, h_norm, monkeypatch):
-        """The first accepted step of length h, unscaled from svec, equals the
-        tableau's stages evaluated on vec sigma, for h ||L||_2 from 1e-3 to 3."""
-        # Accept any step, and start from the cap of a tenth of the last
-        # target, here h.
-        monkeypatch.setattr(dynamics, "ABS_TOL", 1e100)
+    def test_one_step_matches_stage_wise_dp5(self, h_norm):
+        """The first grid step of length h, unscaled from svec, equals the
+        tableau's stages evaluated on vec sigma in substeps of h ||L||_2 <=
+        0.01, for h ||L||_2 from 1e-3 to 3."""
         rng = np.random.default_rng(7)
         h = 0.5
         for w in oracle_drifts():
@@ -131,13 +115,16 @@ class TestStepPolynomial:
             w = w * (h_norm / (h * np.linalg.norm(_vec_operator(w), 2)))
             s, a = rng.normal(size=(2, n, n))
             sigma0, d = s + s.T, a @ a.T
-            steps = dynamics._accepted_steps(w, d, sigma0, [h, 10 * h])
-            next(steps)
-            t, y, _ = next(steps)
-            sigma = from_svec(y, n)
-            expected, _ = dp5_stage_step(w, d, sigma0, h)
+            t, y = next((t, y) for t, y, norm in
+                        dynamics._exact_steps(w, d, sigma0, h * GRID_STEPS)
+                        if norm is not None and t > 0)
+            substeps = math.ceil(h_norm / 0.01)
+            expected = sigma0
+            for _ in range(substeps):
+                expected, _ = dp5_stage_step(w, d, expected, h / substeps)
             assert t == h
-            assert np.linalg.norm(sigma - expected) <= 1e-13 * np.linalg.norm(expected)
+            error = np.linalg.norm(from_svec(y, n) - expected)
+            assert error <= 1e-13 * np.linalg.norm(expected)
 
     def test_svec_norm_and_round_trip(self):
         """||svec(sigma)||_2 = ||sigma||_F, and sigma comes back from its svec."""
@@ -165,6 +152,63 @@ class TestStepPolynomial:
             scale = np.linalg.norm(w) * np.linalg.norm(sigma)
             got = _upper_form(w) @ (s * sigma[upper])
             assert np.max(np.abs(got - s * full[upper])) <= 1e-14 * scale
+
+
+class TestExpm:
+    """The Pade-13 scaling-and-squaring exponential against scipy's."""
+
+    @staticmethod
+    def augmented(w, d, h):
+        """h [[L, d], [0, 0]] on svec, the block the steps exponentiate."""
+        s, upper, _ = _svec_basis(w.shape[0])
+        a = np.zeros((s.size + 1, s.size + 1))
+        a[:-1, :-1], a[:-1, -1] = h * _upper_form(w), h * s * d[upper]
+        return a
+
+    @staticmethod
+    def assert_chain_matches_scipy(a, extra=0):
+        """Every entry e^(a / 2^k) of the chain, with `extra` squarings beyond
+        the natural ones, within 8 eps 2^s relative of scipy's: the rounding of
+        one Pade-13 evaluation, doubled by each of the s squarings."""
+        squarings = _squarings(a) + extra
+        chain = _expm_chain(a, squarings)
+        assert len(chain) == squarings + 1
+        for k, e in enumerate(reversed(chain)):
+            ref = expm(a / 2**k)
+            bound = 8 * np.finfo(float).eps * 2.0**squarings
+            assert np.linalg.norm(e - ref) <= bound * np.linalg.norm(ref)
+            np.testing.assert_array_equal(e[-1], np.eye(len(a))[-1])
+
+    @pytest.mark.parametrize("h_norm", [1e-3, 0.1, 1.0, 5.0, 30.0])
+    def test_oracle_drifts(self, h_norm):
+        """Model drifts, the 1x1 scalar and the non-normal chain, at h ||L||_2
+        up to 30 (past that scipy, not the chain, loses digits on the
+        non-normal drift: 3.5e-10 against a 60-digit reference at 200)."""
+        rng = np.random.default_rng(8)
+        for w in oracle_drifts():
+            a = rng.normal(size=w.shape)
+            h = h_norm / np.linalg.norm(_upper_form(w), 2)
+            self.assert_chain_matches_scipy(self.augmented(w, a @ a.T, h))
+
+    def test_forced_squarings_for_early_samples(self, appendix_c_model):
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        self.assert_chain_matches_scipy(self.augmented(w, d, 7.2), extra=7)
+
+    @settings(max_examples=30, deadline=None)
+    @given(edge_models)
+    def test_threshold_edges(self, m):
+        """Drifts near Lambda -> kappa/2 and G+ -> G-, at the step
+        `evolve_to_steady` takes: e^(hA) as scipy's, and the relaxed sigma as
+        the Lyapunov solution, within the solver's oracle band."""
+        assume(analyze(m).stable)
+        w, d = build_drift(m), build_diffusion(m)
+        rate = -np.max(np.linalg.eigvals(w).real)
+        h = dynamics.WINDOW_RELAXATIONS / rate / GRID_STEPS
+        self.assert_chain_matches_scipy(self.augmented(w, d, h))
+        sigma, _ = evolve_to_steady(w, d, initial_covariance(m))
+        solution = solve_lyapunov(w, d)
+        error = np.linalg.norm(sigma - solution.sigma) / np.linalg.norm(solution.sigma)
+        assert error <= ORACLE_FACTOR * np.finfo(float).eps * solution.condition_estimate
 
 
 class TestIntegrate:
@@ -215,17 +259,17 @@ class TestIntegrate:
             expected = (n + 0.5) + (s0 - n - 0.5) * math.exp(-kappa * t)
             assert sigma[0, 0] == pytest.approx(expected, abs=1e-9)
 
-    def test_tightening_tolerance_never_hurts(self, appendix_c_model, monkeypatch):
+    def test_grid_step_does_not_move_the_result(self, appendix_c_model, monkeypatch):
+        """Each step is exact, so 10, 40 or 160 steps to the same horizon give
+        the same sigma, to within rounding of the Lyapunov solution."""
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         sigma0 = initial_covariance(appendix_c_model)
         oracle = solve_lyapunov(w, d).sigma
-        errors = []
-        for rel_tol in (1e-5, 1e-7, 1e-9):
-            monkeypatch.setattr(dynamics, "REL_TOL", rel_tol)
-            final, _ = integrate(w, d, sigma0, t_end=400.0)
-            errors.append(np.max(np.abs(final - oracle)))
-        assert errors[1] <= errors[0] * 1.1 + 1e-13
-        assert errors[2] <= errors[1] * 1.1 + 1e-13
+        for steps in (10, 40, 160):
+            monkeypatch.setattr(dynamics, "GRID_STEPS", steps)
+            final, trajectory = integrate(w, d, sigma0, t_end=1500.0)
+            assert np.sum(trajectory.times > trajectory.times[-1] / steps) == steps - 1
+            assert np.linalg.norm(final - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
     def test_divergence_raises_for_unstable_drift(self):
         m = model(0.1, 0.5, 0.0)  # blue tone dominant: abscissa > 0
@@ -233,28 +277,31 @@ class TestIntegrate:
         with pytest.raises(DivergenceError):
             integrate(w, d, initial_covariance(m), t_end=1e5)
 
-    def test_stiffness_error_on_extreme_rates(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "REL_TOL", 1e-13)
-        monkeypatch.setattr(dynamics, "ABS_TOL", 1e-16)
-        w = np.diag([-1e16] * 8)
-        d = np.eye(8)
-        with pytest.raises(StiffnessError):
-            integrate(w, d, np.eye(8) * 3.0, t_end=10.0)
-
-    @pytest.mark.parametrize("rate, error", [
-        (1e16, StiffnessError),
-        (1e40, DivergenceError),
-        (1e60, DivergenceError),
-        (1e100, DivergenceError),
-        (1e300, DivergenceError),
-    ])
-    def test_extreme_rate_verdicts(self, rate, error):
-        """W = -rate I at the default tolerances: the step size underflows, or
-        the first trial overflows.  The verdict holds under this suite's
+    @pytest.mark.parametrize("rate", [1e16, 1e40, 1e60, 1e100, 1e300])
+    def test_extreme_rate_verdicts(self, rate):
+        """W = -rate I relaxes to I / (2 rate) well before t_end; the exact
+        steps neither underflow nor overflow.  This holds under this suite's
         warning filter, which turns any RuntimeWarning into an error."""
-        w = np.diag([-rate] * 8)
-        with pytest.raises(error):
-            integrate(w, np.eye(8), np.eye(8) * 3.0, t_end=10.0)
+        sigma, _ = integrate(np.diag([-rate] * 8), np.eye(8), np.eye(8) * 3.0, t_end=10.0)
+        np.testing.assert_allclose(sigma * (2 * rate), np.eye(8), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("t_end", [1e7, 1e300])
+    def test_unstable_drift_diverges_at_any_horizon(self, t_end):
+        """An unstable drift in steps of t_end / GRID_STEPS whose e^(hL)
+        overflows, up to h = 2.5e298: DivergenceError under this suite's
+        warning filter, which turns any RuntimeWarning into an error."""
+        m = model(0.1, 0.5, 0.0)
+        w, d = build_drift(m), build_diffusion(m)
+        with pytest.raises(DivergenceError):
+            integrate(w, d, initial_covariance(m), t_end=t_end)
+
+    def test_overflowing_drift_diverges(self):
+        """A drift whose operator L = W (x) I + I (x) W overflows ends in
+        DivergenceError, not a RuntimeWarning or a LinAlgError."""
+        for run in (lambda w: integrate(w, np.eye(8), np.eye(8), t_end=10.0),
+                    lambda w: evolve_to_steady(w, np.eye(8), np.eye(8))):
+            with pytest.raises(DivergenceError, match="overflows"):
+                run(np.diag([-1e308] * 8))
 
     def test_recorded_traces_are_np_trace_bit_for_bit(self, appendix_c_model):
         """Each recorded trace is `np.trace` of that step's sigma, to the bit:
@@ -262,13 +309,18 @@ class TestIntegrate:
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         sigma0 = initial_covariance(appendix_c_model)
         _, trajectory = integrate(w, d, sigma0, t_end=10.0)
-        states = [y for _, y, _ in dynamics._accepted_steps(w, d, sigma0, [10.0])]
+        states = []
+        for t, y, _ in dynamics._exact_steps(w, d, sigma0, 10.0):
+            states.append(y)
+            if t == 10.0:
+                break
         assert len(states) == len(trajectory.traces) > 10
         for y, trace in zip(states, trajectory.traces):
             assert trace == np.trace(from_svec(y, 8))
 
     def test_trace_matches_exact_solution_at_every_step(self, appendix_c_model):
-        # sigma(t) = e^{Wt} (sigma0 - sigma_inf) e^{W^T t} + sigma_inf
+        # sigma(t) = e^{Wt} (sigma0 - sigma_inf) e^{W^T t} + sigma_inf, early
+        # samples included
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         sigma0 = initial_covariance(appendix_c_model)
         sigma_inf = solve_continuous_lyapunov(w, -d)
@@ -277,7 +329,7 @@ class TestIntegrate:
         for t, trace in zip(trajectory.times, trajectory.traces):
             prop = expm(w * t)
             exact = np.trace(prop @ (sigma0 - sigma_inf) @ prop.T + sigma_inf)
-            assert trace == pytest.approx(exact, rel=1e-7)
+            assert trace == pytest.approx(exact, rel=1e-12)
 
     def test_rejects_bad_arguments(self):
         w = np.zeros((8, 8))
@@ -304,13 +356,46 @@ class TestEvolveToSteady:
         sigma, trajectory = evolve_to_steady(w, d, sigma0)
         oracle = solve_lyapunov(w, d).sigma
         assert trajectory.converged and trajectory.t_converged is not None
-        np.testing.assert_allclose(sigma, oracle, rtol=0, atol=1e-6)
+        # 1.5e-15 measured; stepping with the early samples' extra squarings
+        # instead of a normally scaled e^(hA) gives 5.2e-14
+        assert np.linalg.norm(sigma - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
     def test_fig9_accepted_step_count(self, appendix_c_model):
-        """A changed step controller or error norm shows here, not only as speed."""
+        """A changed grid, early-sample chain or streak rule shows here, not
+        only as speed: t = 0, 9 early samples and 81 grid steps."""
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         _, trajectory = evolve_to_steady(w, d, initial_covariance(appendix_c_model))
-        assert 877 * 0.98 <= len(trajectory.times) <= 877 * 1.02
+        assert len(trajectory.times) == 91
+        assert trajectory.t_converged == trajectory.times[-1]
+
+    def test_derivative_norm_keeps_full_relative_precision(self, appendix_c_model):
+        """||sigma'|| at each grid time against e^(Wt) sigma'(0) e^(W^T t), down
+        to 4e-10 of the threshold: sigma' steps by Phi, not as the cancelling
+        L y + d (off by a factor 400 there)."""
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        sigma0 = initial_covariance(appendix_c_model)
+        deriv0 = cm_derivative(w, d, sigma0)
+        for t, _, norm in dynamics._exact_steps(w, d, sigma0, 288.4):
+            if norm is not None:
+                prop = expm(w * t)
+                exact = np.linalg.norm(prop @ deriv0 @ prop.T)
+                assert norm == pytest.approx(exact, rel=1e-12, abs=0)
+            if t > 600.0:
+                break
+
+    def test_fig9_convergence_time_ignores_rounding(self, appendix_c_model, monkeypatch):
+        """t_converged is a grid time, and ||sigma'|| carries full relative
+        precision: sigma0 one ulp up, or every entry of each e^(hA) one ulp up,
+        leaves it bit-identical (each grid ||sigma'|| is >= 20 % off threshold)."""
+        w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
+        sigma0 = initial_covariance(appendix_c_model)
+        t_converged = evolve_to_steady(w, d, sigma0)[1].t_converged
+        assert evolve_to_steady(w, d, np.nextafter(sigma0, np.inf))[1].t_converged == t_converged
+
+        exact = dynamics._expm_chain
+        monkeypatch.setattr(dynamics, "_expm_chain", lambda a, s: [
+            np.nextafter(e, np.inf) for e in exact(a, s)])
+        assert evolve_to_steady(w, d, sigma0)[1].t_converged == t_converged
 
     def test_trace_decay_respects_slowest_mode_envelope(self, appendix_c_model):
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
@@ -340,6 +425,15 @@ class TestEvolveToSteady:
         sigma0 = initial_covariance(appendix_c_model)
         with pytest.raises(ConvergenceError, match="no steady state within t=57.7"):
             evolve_to_steady(w, d, sigma0)
+
+    @pytest.mark.parametrize("rate", [1e-3, 1.0, 1e2, 1e4, 1e8, 1e12, 1e16])
+    def test_fast_and_slow_scalar_drifts_converge(self, rate):
+        """W = -rate I, D = I relaxes from 3 I to I / (2 rate) on a time
+        1/rate, however fast: the grid follows the abscissa, and no step
+        error competes with the absolute threshold eps ||D||."""
+        sigma, trajectory = evolve_to_steady(np.diag([-rate] * 8), np.eye(8), np.eye(8) * 3.0)
+        assert trajectory.converged
+        np.testing.assert_allclose(sigma * (2 * rate), np.eye(8), rtol=0, atol=1e-12)
 
     def test_agreement_between_verdicts_and_convergence(self):
         stable = [m for m, r in random_models(3, seed=20250809, stable=True)
