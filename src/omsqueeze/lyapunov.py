@@ -10,8 +10,10 @@ per sector (the rotation keeps Frobenius norms); the 8x8 sigma
 (`matrices.join_sectors`) is built only when read.  A W not of
 `build_drift`'s form, or a D that does not split, raises ValueError.  W and
 D may be stacks (..., 8, 8), each matrix solved as it would be alone.  The
-stability decision and the condition estimate take one eigensolve of W_+,
-whose spectrum is W's (W_- = T W_+ T^-1, `matrices.split_drift`).
+stability decision and the condition estimate take W_+'s spectrum, which
+is W's (W_- = T W_+ T^-1, `matrices.split_drift`), in closed form
+(`stability.sector_spectrum`), so the sector solve is the one LAPACK
+kernel of a call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ThresholdError, UnstableSystemError
 from .matrices import join_sectors, split_drift, split_sectors
-from .stability import MARGINAL_BAND, spectral_verdict
+from .stability import MARGINAL_BAND, sector_spectrum, spectral_verdict
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def solve_lyapunov(w: np.ndarray, d: np.ndarray) -> LyapunovSolution:
     largest real part over the whole stack.
     """
     sectors, d_sectors = _split(w, d)
-    eigenvalues = np.linalg.eigvals(sectors[..., 0, :, :])  # W_+
+    eigenvalues = sector_spectrum(sectors[..., 0, :, :])  # W_+'s, which is W's
     spectral_abscissa = float(np.max(eigenvalues.real))
     kind = spectral_verdict(spectral_abscissa)
     if kind != "stable":
@@ -136,10 +138,10 @@ def solve_stable(
     holds and whose spectral abscissa `stability.spectral_verdict` calls
     stable.  Returns that mask and the solution of the drifts it selects,
     in order (None if it selects none).  The whole stack is validated, but
-    only the drifts that `rhsc_stable` passes are eigensolved."""
+    only the drifts that `rhsc_stable` passes reach `sector_spectrum`."""
     sectors, d_sectors = _split(w, d)
     stable = np.array(rhsc_stable, dtype=bool)  # narrowed to the spectrum's verdict
-    eigenvalues = np.linalg.eigvals(sectors[stable, 0])  # W_+
+    eigenvalues = sector_spectrum(sectors[stable, 0])  # W_+'s, which is W's
     passed = spectral_verdict(eigenvalues.real.max(axis=-1)) == "stable"
     stable[stable] = passed
     if not stable.any():

@@ -1,16 +1,19 @@
-"""Routh-Hurwitz stability check and the eigenvalue-based cross-check.
+"""Routh-Hurwitz stability check and the closed-form spectral cross-check.
 
 The drift splits exactly into a sum and a difference sector, W_+ (+) W_-
 (`matrices.split_sectors`), whose 4x4 characteristic polynomials are the
 same quartic, with coefficients that do not involve the pump phase: that
 is why the 8x8 characteristic polynomial is a perfect square.  The
 analysis runs two independent routes: closed-form Hurwitz minors of that
-quartic, and a dense eigensolve.  `analyze` reports both for one model,
-with the eigenvalues of both sectors.  A sweep takes the minors of a model
-with array fields first (one verdict per row), and `lyapunov.solve_stable`
-eigensolves only the rows they pass.  The spectral abscissa is always W_+'s,
-since W_- = T W_+ T^-1 (`matrices.split_drift`): W_-'s computed one differs
-by rounding, which near a threshold could flip the verdict.
+quartic, from the model, and W_+'s eigenvalues, from the drift's entries,
+which `sector_spectrum` reads in closed form off the two 2x2 blocks that
+W_+'s characteristic polynomial factors into; no eigensolver runs.
+`analyze` reports both for one model.  A sweep takes the minors of a
+model with array fields first (one verdict per row), and
+`lyapunov.solve_stable` takes the spectrum of only the rows they pass.
+Every spectral verdict is W_+'s, since W_- = T W_+ T^-1
+(`matrices.split_drift`): `analyze`, the sweep gate and the Lyapunov
+precheck read the same `sector_spectrum` values, so they reach one verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import build_drift, split_drift, split_sectors
+from .matrices import build_drift, split_drift
 from .params import ModelParams
 
 # Verdicts within this distance of a zero spectral abscissa are marginal:
@@ -153,29 +156,62 @@ def _hurwitz(c: RhscCoefficients) -> tuple[float, float, float, bool]:
     return h1, h2, h3, verdict
 
 
-def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """All 8 eigenvalues of a drift matrix (or of each of a stack), sorted
-    by (Re, Im) ascending.
+def sector_spectrum(w_plus: np.ndarray) -> np.ndarray:
+    """The 4 eigenvalues of W_+ (or of each of a stack (..., 4, 4)) in
+    closed form, as (..., 4) complex.
 
-    One eigensolve of the two 4x4 sectors gives them, so a matrix that
-    does not split raises ValueError.
+    `matrices.split_drift` gives W_+ = [[k2 I + P, C], [C, g2 I]] with the
+    pump P symmetric and C = [[0, -a], [b, 0]], so C^2 = -ab I and
+    det(W_+ - x) is the product over the eigenvalues p of k2 I + P of
+    (p - x)(r - x) - q, with r = g2 and q = -ab: the spectrum of the two
+    2x2 blocks [[p, q], [1, r]], whose roots are (p + r)/2 +- sqrt(((p -
+    r)/2)^2 + q).  Only the entries W_00, W_11, W_01, W_22, W_03 and W_12
+    are read, so W_+ must be of that form, as `split_drift` ensures.  Each
+    value is computed elementwise from its own matrix's entries, so a row of
+    a stack gets the bits of the matrix alone.  A value that is not finite
+    raises LinAlgError, under any warning filter, as a dense eigensolve does.
     """
-    values = np.linalg.eigvals(split_sectors(w))
-    return np.sort(values.reshape(*values.shape[:-2], 8), axis=-1, kind="stable")
+    w = np.asarray(w_plus, dtype=float)
+    with np.errstate(all="ignore"):  # a value that is not finite raises below
+        mean = (w[..., 0, 0] + w[..., 1, 1]) / 2.0
+        radius = np.hypot((w[..., 0, 0] - w[..., 1, 1]) / 2.0, w[..., 0, 1])
+        p = np.stack([mean + radius, mean - radius], axis=-1)
+        r = w[..., 2, 2, None]
+        q = (w[..., 0, 3] * w[..., 1, 2])[..., None]
+        centre = (p + r) / 2.0
+        half_gap = (p - r) / 2.0
+        disc = half_gap * half_gap + q
+        root = np.sqrt(np.abs(disc))
+        shift = np.where(disc >= 0.0, root, 0.0)
+        spread = root - shift  # the imaginary part, +0.0 for a real root
+        parts = np.stack([centre + shift, spread, centre - shift, 0.0 - spread], axis=-1)
+    if not np.isfinite(parts).all():
+        raise np.linalg.LinAlgError(
+            f"W_+ has a spectrum that is not finite (largest |entry| {np.max(np.abs(w)):.3e})"
+        )
+    return parts.view(complex).reshape(*w.shape[:-2], 4)
+
+
+def drift_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """All 8 eigenvalues of a drift of `build_drift`'s form (or of each of a
+    stack), sorted by (Re, Im) ascending: W_+'s 4 (`sector_spectrum`), each
+    twice, since W_- is similar to W_+.  Any other matrix raises ValueError.
+    """
+    values = np.repeat(sector_spectrum(split_drift(w)[..., 0, :, :]), 2, axis=-1)
+    return np.sort(values, axis=-1, kind="stable")
 
 
 def analyze(m: ModelParams) -> StabilityReport:
     """Run both stability routes and the consistency cross-check.
 
-    The spectral abscissa is W_+'s, as the sweep gate and the Lyapunov
-    precheck take it, so all three reach one verdict on one model; the
-    eigenvalues listed are both sectors'.
+    The eigenvalues listed, and their abscissa, are `drift_eigenvalues`,
+    W_+'s spectrum as the sweep gate and the Lyapunov precheck take it, so
+    all three reach one verdict on one model.
     """
     coeffs = rhsc_coefficients(m)
     h1, h2, h3, rhsc_stable = _hurwitz(coeffs)
-    values = np.linalg.eigvals(split_drift(build_drift(m)))
-    eigenvalues = np.sort(values.reshape(8), kind="stable")
-    abscissa = values[0].real.max().item()
+    eigenvalues = drift_eigenvalues(build_drift(m))
+    abscissa = eigenvalues.real.max().item()
     eig_stable = abscissa < 0.0
     marginal = spectral_verdict(abscissa) == "marginal"
     return StabilityReport(

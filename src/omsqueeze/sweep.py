@@ -5,8 +5,9 @@ columns: the axis values of the stack go through `apply_overrides`,
 `derive_model`, `build_drift` and `build_diffusion` as arrays, with the
 bits of the scalar calls.  `lyapunov.solve_stable` then gates every row
 cheapest first, by the Routh-Hurwitz minors and then, for the rows they
-pass, by one eigensolve of W_+, whose spectrum is W's, and solves the rows
-that pass both; `metric_row` evaluates their steady states in the sector
+pass, by W_+'s spectrum, which is W's, in closed form
+(`stability.sector_spectrum`), and solves the rows that pass both;
+`metric_row` evaluates their steady states in the sector
 form sigma_+ (+) sigma_- of the solve, never joined into 8x8 matrices.  The
 whole stack runs under one floating-point error state, so a row's outcome
 does not depend on the warning filter.  A stack whose evaluation raises
@@ -15,8 +16,8 @@ solve, a metric that is not finite) is split in halves and each is
 evaluated again, down to single rows, which go through the scalar calls:
 one bad point is one error row with its own "{Type}: {message}".  The
 stacks go to one thread per CPU the process may run on, the caller's among
-them (`_evaluate_stacks`), where the two LAPACK kernels of a stack, the
-eigensolve and the solve, run without the interpreter lock.  Each stack
+them (`_evaluate_stacks`), where the one LAPACK kernel of a stack, the
+sector solve, runs without the interpreter lock.  Each stack
 writes only its own rows, so neither the stack size nor the thread count
 changes a result.
 
@@ -330,22 +331,30 @@ class SweepResult:
         }
 
     def write_csv(self, path) -> None:
-        """Write the rows as CSV, BATCH rows at a time, one %-format per row;
-        an unstable row, NaN in every metric cell, ends in one constant tail."""
-        axis_names = list(self.axes)
-        columns = axis_names + list(self.spec.outputs) + ["stable", "physical"]
-        arrays = [self.axes[n] for n in axis_names] + [self.columns[n] for n in self.spec.outputs]
-        arrays += [self.stable, self.columns["physical"]]
-        row_format = ",".join(["%.12g"] * (len(arrays) - 2) + ["%d", "%.12g"]) + "\n"
-        axis_format = ",".join(["%.12g"] * len(axis_names))
-        unstable_tail = ",nan" * len(self.spec.outputs) + ",0,nan\n"
+        """Write the rows as CSV.  Each distinct axis value is formatted once,
+        and its text serves every row it is on; an unstable row, NaN in every
+        metric cell, ends in one constant tail, and a stable row's other cells
+        take one %-format."""
+        outputs = list(self.spec.outputs)
+        heads = list(map("".join, zip(*map(_axis_cells, self.axes.values()))))
+        unstable_tail = "nan," * len(outputs) + "0,nan\n"
+        lines = [head + unstable_tail for head in heads]
+        row_format = "%.12g," * len(outputs) + "1,%.12g\n"
+        cells = zip(*(self.columns[n][self.stable].tolist() for n in [*outputs, "physical"]))
+        for i, row in zip(np.flatnonzero(self.stable).tolist(), cells):
+            lines[i] = heads[i] + row_format % row
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for start in range(0, len(self.stable), BATCH):
-                cells = zip(*(values[start:start + BATCH].tolist() for values in arrays))
-                fh.writelines(row_format % row if row[-2] else
-                              axis_format % row[:len(axis_names)] + unstable_tail
-                              for row in cells)
+            fh.write(",".join([*self.axes, *outputs, "stable", "physical"]) + "\n")
+            fh.write("".join(lines))  # writelines would cost a call per line
+
+
+def _axis_cells(values: np.ndarray) -> list[str]:
+    """The CSV cell "%.12g," of each value, each distinct value (by its bits,
+    so -0.0 is not 0.0) formatted once."""
+    bits, at = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                         return_inverse=True)
+    cells = ["%.12g," % value for value in bits.view(float).tolist()]
+    return [cells[i] for i in at.tolist()]
 
 
 def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarray,

@@ -19,9 +19,10 @@ from omsqueeze import (
     solve_lyapunov,
 )
 
+import omsqueeze.lyapunov as lyapunov_module
 from omsqueeze.lyapunov import _symmetric_operator, solve_stable
 from omsqueeze.matrices import MODE_1, MODE_2, split_drift, split_sectors
-from omsqueeze.stability import MARGINAL_BAND, rhsc_check
+from omsqueeze.stability import MARGINAL_BAND, rhsc_check, sector_spectrum
 
 from conftest import (
     ORACLE_FACTOR,
@@ -190,11 +191,15 @@ class TestSolveLyapunov:
 
 class TestPrecheck:
     def test_one_eigensolve_per_call(self, appendix_c_model, monkeypatch):
-        """One eigensolve of W_+, whose spectrum is the drift's, and one
-        linear solve of the two sector systems per call, for one drift and
-        for a stack of them."""
+        """One closed-form spectrum of W_+, whose spectrum is the drift's,
+        and one linear solve of the two sector systems per call, for one
+        drift and for a stack of them: no dense eigensolve runs."""
         calls = []
         eigvals, solve = np.linalg.eigvals, np.linalg.solve
+
+        def counting_spectrum(w):
+            calls.append(("spectrum", np.shape(w)))
+            return sector_spectrum(w)
 
         def counting_eigvals(w):
             calls.append(("eigvals", np.shape(w)))
@@ -204,14 +209,15 @@ class TestPrecheck:
             calls.append(("solve", np.shape(a)))
             return solve(a, b)
 
+        monkeypatch.setattr(lyapunov_module, "sector_spectrum", counting_spectrum)
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
         solve_lyapunov(w, d)
-        assert calls == [("eigvals", (4, 4)), ("solve", (2, 10, 10))]
+        assert calls == [("spectrum", (4, 4)), ("solve", (2, 10, 10))]
         calls.clear()
         solve_lyapunov(np.stack([w] * 5), np.stack([d] * 5))
-        assert calls == [("eigvals", (5, 4, 4)), ("solve", (5, 2, 10, 10))]
+        assert calls == [("spectrum", (5, 4, 4)), ("solve", (5, 2, 10, 10))]
 
     def test_one_unstable_matrix_rejects_the_stack(self, appendix_c_model):
         stable = build_drift(appendix_c_model)
@@ -427,15 +433,18 @@ class TestStabilityGateIntegration:
 
 
 class TestOneSectorSpectrum:
-    """The gate and the precheck eigensolve W_+ alone, whose spectrum is the
-    drift's with each eigenvalue taken once (`matrices.split_drift`)."""
+    """The gate and the precheck take W_+'s spectrum alone, in closed form,
+    which is the drift's with each eigenvalue taken once
+    (`matrices.split_drift`): against a dense eigensolve of both sectors and
+    the roots of the stability quartic."""
 
     @staticmethod
     def _check(m, tol):
         w = build_drift(m)
-        plus = np.linalg.eigvals(split_drift(w)[0])
-        match_eigenvalue_sets(np.repeat(plus, 2), drift_eigenvalues(w), tol)
+        plus = sector_spectrum(split_drift(w)[0])
+        match_eigenvalue_sets(np.repeat(plus, 2), np.linalg.eigvals(split_sectors(w)).ravel(), tol)
         match_eigenvalue_sets(plus, quartic_eigenvalues(m), tol)
+        assert np.array_equal(np.sort(np.repeat(plus, 2), kind="stable"), drift_eigenvalues(w))
 
     def test_random_models(self):
         for m in random_models(40, seed=20251019):
@@ -497,13 +506,12 @@ class TestGateOrder:
         hurwitz = np.array([rhsc_check(m)[3] for m in models])
         assert 0 < hurwitz.sum() < len(models)
         seen = []
-        eigvals = np.linalg.eigvals
 
         def recording(a):
             seen.append(np.array(a))
-            return eigvals(a)
+            return sector_spectrum(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        monkeypatch.setattr(lyapunov_module, "sector_spectrum", recording)
         stable, _ = solve_stable(w, d, hurwitz)
         assert len(seen) == 1
         assert np.array_equal(seen[0], split_sectors(w)[hurwitz, 0])

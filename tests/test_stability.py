@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from omsqueeze import (
     rhsc_coefficients,
 )
 from omsqueeze.matrices import split_drift
+from omsqueeze.stability import sector_spectrum
 
 from conftest import match_eigenvalue_sets, model, quartic_eigenvalues, random_models
 
@@ -135,6 +137,32 @@ class TestDriftEigenvalues:
         match_eigenvalue_sets(eigs, np.repeat(quartic, 2), tol=1e-8)
 
 
+class TestSectorSpectrum:
+    """The closed form against the dense eigensolve is tested in
+    test_lyapunov's TestOneSectorSpectrum and in test_threshold_edges, and
+    at extreme couplings in test_sweep; here is what else it promises."""
+
+    @pytest.mark.parametrize("filter", ["error", "ignore"])
+    def test_spectrum_that_is_not_finite_raises(self, filter):
+        """A value that overflows, or an entry that is not finite, raises
+        LinAlgError, as a dense eigensolve does, whatever the warning filter:
+        never a NaN that the verdict would call unstable."""
+        w_plus = split_drift(build_drift(model(1e200, 0.5e200, 0.3)))[0]
+        inf_entry = w_plus.copy()
+        inf_entry[0, 0] = math.inf
+        for w in (w_plus, inf_entry, np.stack([split_drift(build_drift(model()))[0], w_plus])):
+            with warnings.catch_warnings():
+                warnings.simplefilter(filter)
+                with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                    sector_spectrum(w)
+
+    def test_real_roots_have_a_positive_zero_imaginary_part(self):
+        """As a dense eigensolve gives them, so a report lists im = 0.0."""
+        values = sector_spectrum(split_drift(build_drift(model(gamma=0.01)))[0])
+        assert np.all(values.imag == 0.0) and not np.signbit(values.imag).any()
+        np.testing.assert_allclose(np.sort(values.real), [-0.5, -0.5, -0.005, -0.005], rtol=1e-14)
+
+
 class TestSquareProperty:
     def test_drift_spectrum_doubles_quartic_on_random_draws(self):
         for m in random_models(100, seed=20250801):
@@ -233,8 +261,8 @@ class TestAnalyze:
 class TestAnalyzeStack:
     def test_equals_per_point_reports_bit_for_bit(self):
         """The routes a sweep runs on a stack of models, the minors of a model
-        with array fields and one eigensolve of the stacked drifts, give each
-        row the numbers `analyze` reports for it alone."""
+        with array fields and one closed-form spectrum of the stacked W_+,
+        give each row the numbers `analyze` reports for it alone."""
         models = random_models(40, seed=20251021)  # stable and unstable draws
         assert len({analyze(m).stable for m in models}) == 2
         stacked = ModelParams(**{
@@ -243,7 +271,7 @@ class TestAnalyzeStack:
         h1, h2, h3, rhsc_stable = rhsc_check(stacked)
         drifts = build_drift(stacked)
         spectra = drift_eigenvalues(drifts)
-        plus = np.linalg.eigvals(split_drift(drifts)[:, 0])  # the sweep gate's W_+
+        plus = sector_spectrum(split_drift(drifts)[:, 0])  # the sweep gate's W_+
         for i, m in enumerate(models):
             single = analyze(m)
             assert (h1[i], h2[i], h3[i], rhsc_stable[i]) == (

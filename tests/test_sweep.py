@@ -318,19 +318,52 @@ class TestRunSweep:
         assert result.errors == (None, overflow, None)
         assert result.stable.tolist() == [True, False, True]
 
-    def test_infinite_minors_without_an_overflowing_square_are_unstable(self):
-        """At G-/kappa ~ 1e77 the squares are finite but a product of them
-        overflows, so the minors are inf: the row is unstable, as `analyze`
-        finds, and not an error."""
+    def test_extreme_couplings_are_stable_at_the_exact_abscissa(self):
+        """Far up a G-/kappa scan the entries of W reach G-, and a dense
+        eigensolve's error, eps ||W||, swamped real parts of order kappa: it
+        made the rows at 1e29 and 1e66 (G+/G- = 1/2) of the CI overflow scan
+        marginal (abscissa -4.2e-22) or unstable (+5.8e49), and those at 1e77
+        and 1.1e77 (G+ = 0), whose minors are inf without an overflowing
+        square, unstable.  These rows are stable, as both routes find, and no
+        row is an error; W_+'s roots are complex there, so the abscissa is
+        (Lambda - kappa/2 - gamma/2)/2 = -0.0500017, to a few eps.  Every
+        row's flag is `analyze`'s."""
         from omsqueeze.stability import analyze
 
-        spec = direct_spec(
-            axes=(SweepAxis.explicit("g_minus_over_kappa", (0.2, 1e77, 1.1e77, 0.4)),))
+        spec = direct_spec(base=appendix_c_params(), axes=(
+            SweepAxis.explicit("g_minus_over_kappa", (0.2, 1e29, 1e66, 1e77, 1.1e77, 0.4)),
+            SweepAxis.explicit("g_plus_over_g_minus", (0.0, 0.5))))
         result = run_sweep(spec)
-        assert result.errors == (None,) * 4
-        assert result.stable.tolist() == [True, False, False, True]
-        for overrides in spec.assignments()[1:3]:
-            assert not analyze(derive_model(apply_overrides(spec.base, overrides))).stable
+        assert result.errors == (None,) * 12
+        extreme = [(1e29, 0.5), (1e66, 0.5), (1e77, 0.0), (1.1e77, 0.0)]
+        for overrides, stable in zip(spec.assignments(), result.stable.tolist()):
+            m = derive_model(apply_overrides(spec.base, overrides))
+            report = analyze(m)
+            assert stable == report.stable
+            if tuple(overrides.values()) in extreme:
+                assert report.stable and report.consistent
+                exact = (m.lambda_pa - 0.5 - m.gamma / 2.0) / 2.0
+                assert exact == pytest.approx(-0.0500017, abs=1e-7)
+                assert abs(report.spectral_abscissa - exact) <= 4 * np.finfo(float).eps * -exact
+
+    def test_spectrum_that_is_not_finite_is_an_error_row(self, monkeypatch):
+        """A row whose W_+ spectrum overflows is an error row, under warnings
+        that raise, never an unstable one.  Its minors would overflow first,
+        so here every row's minors pass."""
+        import warnings
+
+        import omsqueeze.sweep as sweep_module
+
+        monkeypatch.setattr(sweep_module, "rhsc_check", lambda model: (None, None, None, True))
+        spec = direct_spec(axes=(SweepAxis.explicit("g_minus_over_kappa", (0.2, 1e200, 0.4)),
+                                 SweepAxis.explicit("g_plus_over_g_minus", (0.0, 0.5))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+        assert result.stable.tolist() == [True, True, False, False, True, True]
+        assert result.errors[:2] == result.errors[4:] == (None, None)
+        for error in result.errors[2:4]:
+            assert error.startswith("LinAlgError: W_+ has a spectrum that is not finite")
 
     def test_row_outcome_does_not_depend_on_the_warning_filter(self):
         """A G-/kappa scan to 1e297 at G+/G- = 1/2 and 1: nothing warns, so
@@ -571,12 +604,16 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("policy", ["mark", "skip"])
     @pytest.mark.parametrize("outputs", [METRIC_COLUMNS, ("en_mm", "s2_m_db")])
-    @pytest.mark.parametrize("name", ["mixed-grid", "threshold-grid"])
+    @pytest.mark.parametrize("name", ["mixed-grid", "threshold-grid", "signed-zero"])
     def test_csv_equals_one_format_per_cell(self, name, outputs, policy, tmp_path):
         """Stable, unstable and error rows, all outputs or some, marked or
-        skipped: the lines of unstable rows, written as a constant tail,
-        are the bytes of the per-cell format."""
-        spec = {"mixed-grid": mixed_grid_spec, "threshold-grid": threshold_grid_spec}[name]()
+        skipped, and one axis that holds both -0.0 and 0.0: the lines of
+        unstable rows, written as a constant tail, and the axis cells, each
+        distinct value formatted once, are the bytes of the per-cell format."""
+        signed_zero = direct_spec(
+            axes=(SweepAxis.explicit("lambda_over_kappa", (-0.0, 0.0, 0.3, 0.6, -0.0)),))
+        spec = {"mixed-grid": mixed_grid_spec(), "threshold-grid": threshold_grid_spec(),
+                "signed-zero": signed_zero}[name]
         result = run_sweep(replace(spec, outputs=outputs, unstable_policy=policy))
         assert result.stable.any() and (policy == "skip") == result.stable.all()
         path = tmp_path / "grid.csv"
@@ -695,16 +732,16 @@ class TestColumnarFrontEnd:
             self._check(spec, result, np.arange(spec.grid_size()))
 
     def test_eigensolves_only_the_rows_rhsc_passes(self, monkeypatch):
-        """The stacks' eigensolves hold one row per valid row whose
+        """The stacks' spectra hold one row per valid row whose
         Routh-Hurwitz minors are positive."""
-        from omsqueeze.stability import rhsc_check
+        import omsqueeze.lyapunov as lyapunov_module
+        from omsqueeze.stability import rhsc_check, sector_spectrum
 
         rows = []
-        eigvals = np.linalg.eigvals
 
         def counting(a):
             rows.append(len(a))
-            return eigvals(a)
+            return sector_spectrum(a)
 
         spec = threshold_grid_spec()
         base = as_direct_drive(spec.base)
@@ -714,26 +751,34 @@ class TestColumnarFrontEnd:
                 passed += bool(rhsc_check(derive_model(apply_overrides(base, overrides)))[3])
             except ValueError:
                 pass
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(lyapunov_module, "sector_spectrum", counting)
         stable = run_sweep(spec).stable.sum()
         assert 0 < stable < passed < spec.grid_size() - 7  # marginal rows pass RHSC only
         assert sum(rows) == passed
 
     def test_one_eigensolve_per_stack(self, monkeypatch):
-        """The stack's W_+ spectrum serves both the gate and the solve."""
+        """The stack's W_+ spectrum, in closed form, serves both the gate and
+        the solve; no dense eigensolve runs."""
+        import omsqueeze.lyapunov as lyapunov_module
         import omsqueeze.sweep as sweep_module
+        from omsqueeze.stability import sector_spectrum
 
         shapes = []
         eigvals = np.linalg.eigvals
 
-        def counting(a):
+        def counting_spectrum(a):
             shapes.append(np.shape(a))
+            return sector_spectrum(a)
+
+        def counting_eigvals(a):
+            shapes.append(("eigvals", np.shape(a)))
             return eigvals(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(lyapunov_module, "sector_spectrum", counting_spectrum)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         monkeypatch.setattr(sweep_module, "BATCH", 64)
         run_sweep(figure_preset("fig7a"))  # 201 stable points
-        # worker threads reach eigvals in any order
+        # worker threads reach the spectrum in any order
         assert sorted(shapes) == [(9, 4, 4)] + [(64, 4, 4)] * 3
 
 

@@ -16,15 +16,18 @@ from omsqueeze import (
     solve_lyapunov,
 )
 from omsqueeze.lyapunov import solve_stable
-from omsqueeze.matrices import split_drift
+from omsqueeze.matrices import split_drift, split_sectors
+from omsqueeze.stability import sector_spectrum
 
 from conftest import (
     ORACLE_FACTOR,
     assert_negativity_follows_vidal_werner,
     assert_sector_kernel_agrees,
     kronecker_lyapunov,
+    match_eigenvalue_sets,
     model,
     physicality_check,
+    quartic_eigenvalues,
 )
 
 LAMBDA_CAP = 0.4999
@@ -109,4 +112,16 @@ def test_one_point_verdict_is_the_gate_verdict(m):
     report = analyze(m)
     gate, _ = solve_stable(w[None], d[None], np.array([rhsc_check(m)[3]]))
     assert report.stable == gate[0]
-    assert report.spectral_abscissa == np.linalg.eigvals(split_drift(w)[0]).real.max()
+    assert report.spectral_abscissa == sector_spectrum(split_drift(w)[0]).real.max()
+
+
+@settings(max_examples=60)
+@given(edge_models)
+def test_sector_spectrum_matches_the_dense_and_quartic_roots(m):
+    """The closed-form W_+ spectrum against a dense eigensolve of both
+    sectors and the roots of the stability quartic, on the way to the
+    thresholds, where roots come close to double ones."""
+    w = build_drift(m)
+    plus = sector_spectrum(split_drift(w)[0])
+    match_eigenvalue_sets(np.repeat(plus, 2), np.linalg.eigvals(split_sectors(w)).ravel(), 1e-8)
+    match_eigenvalue_sets(plus, quartic_eigenvalues(m), 1e-8)
