@@ -8,6 +8,7 @@ prefixed ``error:``; numeric output uses 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -395,10 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses, built on first use: a parse leaves no state
+    in it, and help text is wrapped to the terminal width when it is printed."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

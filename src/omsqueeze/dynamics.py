@@ -18,6 +18,7 @@ solution: it checks it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,21 +56,40 @@ def _vec_operator(w: np.ndarray) -> np.ndarray:
     return np.kron(w, eye) + np.kron(eye, w)
 
 
+@functools.cache
 def _svec_basis(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     """(s, upper, gather): y = svec(sigma) = s * sigma[upper], s = sqrt(2) off the
-    diagonal, so ||y||_2 = ||sigma||_F; a symmetric sigma = (y / s)[gather].reshape(n, n)."""
+    diagonal, so ||y||_2 = ||sigma||_F; a symmetric sigma = (y / s)[gather].reshape(n, n).
+    Built once per n; the arrays are read-only."""
     rows, cols = upper = np.triu_indices(n)
     gather = np.empty(n * n, dtype=int)
     gather[rows * n + cols] = gather[cols * n + rows] = np.arange(rows.size)
-    return np.where(rows == cols, 1.0, math.sqrt(2.0)), upper, gather
+    s = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    for array in (s, rows, cols, gather):
+        array.flags.writeable = False
+    return s, upper, gather
+
+
+@functools.cache
+def _upper_pattern(n: int) -> np.ndarray:
+    """P with w.ravel() @ P = L_z.ravel() for every n x n W: L_z, on the unscaled
+    upper entries, is `_vec_operator`'s upper rows, columns (i, j) + (j, i).
+    L_z is linear in W, so row k of P is L_z of the k-th unit matrix.  Every
+    entry of P is 0, 1 or 2, and every entry of L_z sums at most two distinct
+    entries of W, so the product rounds as the kron route does.  Read-only."""
+    _, (rows, cols), gather = _svec_basis(n)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    upper_rows = np.stack([_vec_operator(unit)[rows * n + cols] for unit in units])
+    pattern = (upper_rows @ np.eye(rows.size)[gather]).reshape(n * n, -1)
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _upper_form(w: np.ndarray) -> np.ndarray:
-    """L_y = S L_z S^-1, so L_y svec(sigma) = svec(W sigma + sigma W^T); L_z, on the
-    unscaled upper entries, is `_vec_operator`'s upper rows, columns (i, j) + (j, i)."""
-    n = w.shape[0]
-    s, (rows, cols), gather = _svec_basis(n)
-    l_z = _vec_operator(w)[rows * n + cols] @ np.eye(s.size)[gather]
+    """L_y = S L_z S^-1, so L_y svec(sigma) = svec(W sigma + sigma W^T), with
+    L_z read off `_upper_pattern`."""
+    s, _, _ = _svec_basis(w.shape[0])
+    l_z = (w.ravel() @ _upper_pattern(w.shape[0])).reshape(s.size, s.size)
     return s[:, None] * l_z / s
 
 

@@ -81,6 +81,14 @@ _DRIFT = np.array(
 )
 _DIFFUSION = np.diag([1] * 4 + [2] * 4)  # over the values (cavity, mechanics)
 
+# split_drift's form check as one gather-compare: flat entry i must equal
+# _SIGNS[i] * entry _SOURCES[i].  build_drift's values k2, g2, c, s, -c, -a, b
+# are read from w[0, 0], w[4, 4], w[0, 2], w[0, 3], -w[0, 2], w[0, 5], w[1, 4];
+# a template zero is read from itself times 0.0, which x equals for x = +-0.0 only.
+_SOURCES = np.where(_DRIFT.ravel() == 0, np.arange(64),
+                    np.array([0, 0, 36, 2, 3, 2, 5, 12])[_DRIFT.ravel()])
+_SIGNS = np.array([0.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])[_DRIFT.ravel()]
+
 
 def build_drift(m: ModelParams) -> np.ndarray:
     """Assemble the 8x8 drift matrix of the linearized quadrature dynamics
@@ -124,10 +132,12 @@ def split_drift(w: np.ndarray) -> np.ndarray:
     cavity quadratures (R P R^-1 = -P, C^2 = -ab I); by continuity where
     det C = 0."""
     sectors = split_sectors(w)
-    w = np.asarray(w, dtype=float)
-    c = w[..., 0, 2]
-    values = (w[..., 0, 0], w[..., 4, 4], c, w[..., 0, 3], -c, w[..., 0, 5], w[..., 1, 4])
-    if not (_fill(_DRIFT, *values) == w).all():
+    # Entries first: a view, not a copy, for the stack-innermost layout of build_drift.
+    entries = np.moveaxis(np.asarray(w, dtype=float), (-2, -1), (0, 1)).reshape(64, -1)
+    expected = entries[_SOURCES]
+    with np.errstate(invalid="ignore"):  # inf * 0.0 is nan, which equals nothing
+        expected *= _SIGNS[:, None]
+    if not (expected == entries).all():
         raise ValueError("drift is not of the model's form")
     return sectors
 

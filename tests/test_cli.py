@@ -1,11 +1,16 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from omsqueeze import appendix_c_params, covariance_to_json, paper_base
+from omsqueeze import cli
 from omsqueeze.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -473,8 +478,6 @@ class TestHelp:
         if command == "main":
             text = parser.format_help()
         else:
-            import argparse
-
             subparsers = next(
                 a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction)
@@ -482,3 +485,75 @@ class TestHelp:
             text = subparsers.choices[command].format_help()
         golden = (GOLDEN_DIR / f"help_{command}.txt").read_text()
         assert text.split() == golden.split()
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestInProcessCalls:
+    """`main` parses with one parser per process; no call leaves state in it
+    that a later call sees."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_overrides_do_not_carry_into_the_next_call(self, capsys):
+        first = _run(["stability"], capsys)
+        code, _, _ = _run(["evolve", "--preset", "appendixC", "--t-end", "1",
+                           "--set", "lambda_over_kappa=0.3", "--set", "phi_over_pi=0.5"], capsys)
+        assert code == 0
+        assert _run(["stability", "--set", "lambda_over_kappa=0.3"], capsys)[0] == 0
+        assert _run(["stability"], capsys) == first
+        assert "Lambda = 0.3" not in first[1]
+
+    @pytest.mark.parametrize("bad", [["evolve", "--bogus"], ["stability", "--preset", "nope"],
+                                     ["steady", "--set"], []])
+    def test_usage_error_does_not_carry_into_the_next_call(self, bad, capsys):
+        first = _run(["stability", "--preset", "appendixC"], capsys)
+        code, out, err = _run(bad, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: omsqueeze")
+        assert _run(["stability", "--preset", "appendixC"], capsys) == first
+
+    def test_help_wraps_to_the_width_at_each_call(self, monkeypatch, capsys):
+        widths = {}
+        for columns in (60, 120, 60):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, text, _ = _run(["evolve", "--help"], capsys)
+            assert code == 0
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["evolve", "--help"])
+            assert text == capsys.readouterr().out  # as a fresh parser prints it
+            widths[columns] = max(len(line) for line in text.splitlines())
+        assert widths[60] <= 58 < 60 < widths[120] <= 118  # argparse keeps 2 columns
+
+    def test_the_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["stability"], ["steady", "--preset", "appendixC"], ["evolve", "--bogus"],
+                     ["metrics", "--help"], ["stability", "--set", "lambda_over_kappa=0.1"]):
+            main(argv)
+        capsys.readouterr()
+        assert built.count("omsqueeze") == 1
+        assert len(built) == 1 + len(COMMAND_FLAGS)  # the main parser and one per subcommand
+        assert build_parser() is not build_parser()
+
+    def test_nothing_is_built_at_import(self):
+        probe = "import omsqueeze.cli as c; print(c._parser.cache_info().currsize)"
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "0\n"

@@ -56,6 +56,15 @@ def oracle_drifts():
     ]
 
 
+def kron_upper_form(w):
+    """L_y by the kron/gather route, the oracle for `_upper_form`: the upper
+    rows of W (x) I + I (x) W, columns (i, j) + (j, i), then S L_z S^-1."""
+    n = w.shape[0]
+    s, (rows, cols), gather = _svec_basis(n)
+    l_z = _vec_operator(w)[rows * n + cols] @ np.eye(s.size)[gather]
+    return s[:, None] * l_z / s
+
+
 class TestCmDerivative:
     def test_steady_state_gives_zero(self, appendix_c_model):
         w, d = build_drift(appendix_c_model), build_diffusion(appendix_c_model)
@@ -152,6 +161,29 @@ class TestStepPolynomial:
             scale = np.linalg.norm(w) * np.linalg.norm(sigma)
             got = _upper_form(w) @ (s * sigma[upper])
             assert np.max(np.abs(got - s * full[upper])) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_upper_form_equals_the_kron_route_bit_for_bit(self, n):
+        """`_upper_form` reads L_z off a pattern built once per n; every bit of
+        L_y, the sign of every zero included, is the kron route's, on entries
+        from 1e-5 to 1e5 with +0.0 and -0.0 among them."""
+        rng = np.random.default_rng(100 + n)
+        ws = [build_drift(m) for m in random_models(5, seed=n)] if n == 8 else []
+        for trial in range(300):
+            w = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-5, 5, size=(n, n))
+            w[rng.random((n, n)) < 0.2] = 0.0
+            w[rng.random((n, n)) < 0.2] = -0.0
+            ws.append(-np.abs(w) if trial % 3 == 0 else w)
+        for w in ws:
+            ref = kron_upper_form(w)
+            np.testing.assert_array_equal(_upper_form(w).view(np.uint64), ref.view(np.uint64))
+
+    def test_cached_arrays_are_read_only(self):
+        s, (rows, cols), gather = _svec_basis(3)
+        assert _svec_basis(3)[0] is s
+        for array in (s, rows, cols, gather, dynamics._upper_pattern(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 class TestExpm:

@@ -16,10 +16,13 @@ from omsqueeze import (
     symplectic_form,
 )
 from omsqueeze.matrices import (
+    _DRIFT,
     MODE_1,
     MODE_2,
+    _fill,
     join_sectors,
     require_symmetric,
+    split_drift,
     split_sectors,
 )
 
@@ -198,6 +201,65 @@ class TestSplitSectors:
         stack = np.stack([build_drift(model(0.2, 0.1, 0.4, phi)) for phi in (0.0, 1.0, 2.0)])
         joined = join_sectors(split_sectors(stack))
         np.testing.assert_allclose(joined, stack, rtol=0, atol=np.finfo(float).eps / 2)
+
+
+def rebuilt_verdict(w):
+    """`split_drift`'s verdict by the oracle route: split, then rebuild the
+    drift from `build_drift`'s template filled with its own entries and
+    compare all 64.  The error text, or None where the drift is accepted."""
+    try:
+        split_sectors(w)
+    except ValueError as exc:
+        return str(exc)
+    w = np.asarray(w, dtype=float)
+    c = w[..., 0, 2]
+    values = (w[..., 0, 0], w[..., 4, 4], c, w[..., 0, 3], -c, w[..., 0, 5], w[..., 1, 4])
+    return None if (_fill(_DRIFT, *values) == w).all() else "drift is not of the model's form"
+
+
+def verdict(w):
+    try:
+        split_drift(w)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSplitDrift:
+    # The quadrature that the pair exchange takes each one to.
+    EXCHANGE = [2, 3, 0, 1, 6, 7, 4, 5]
+
+    def test_verdict_equals_the_rebuild_on_single_entry_perturbations(self):
+        """Every entry of a drift set to a random value, a copy or the negation
+        of another entry, +-0.0, +-inf or nan: alone (which mostly breaks the
+        split), together with its exchange partner (which keeps the split and
+        tests the form), and as the second matrix of a stack in either layout."""
+        rng = np.random.default_rng(58)
+        bases = [build_drift(model(0.2, 0.1, 0.4, 0.3)), build_drift(model(0.3, 0.0, 0.0, 0.0)),
+                 build_drift(model(0.2, 0.1, 0.4, math.pi / 2))]
+        seen = set()
+        for base in bases:
+            assert verdict(base) is None
+            flat = base.ravel()
+            for i, j in np.ndindex(8, 8):
+                other = flat[rng.integers(64)]
+                for value in (rng.normal(), other, -other, -base[i, j], base[i, j] * (1 + 1e-15),
+                              0.0, -0.0, math.inf, -math.inf, math.nan):
+                    alone, pair = base.copy(), base.copy()
+                    alone[i, j] = pair[i, j] = value
+                    pair[self.EXCHANGE[i], self.EXCHANGE[j]] = value
+                    # stacks in C order and with the stack innermost, as build_drift lays them out
+                    stacked = (np.stack([base, pair]), np.moveaxis(np.stack([base, pair], -1), -1, 0))
+                    for w in (alone, pair, *stacked):
+                        expected = rebuilt_verdict(w)
+                        assert verdict(w) == expected, (i, j, value, w.shape)
+                        seen.add(expected)
+        assert seen == {None, "drift is not of the model's form",
+                        "matrix does not split into sum and difference sectors"}
+
+    def test_shape_is_checked_first(self):
+        with pytest.raises(ValueError, match="8x8"):
+            split_drift(np.zeros((2, 4, 4)))
 
 
 class TestBuildDiffusion:
