@@ -6,14 +6,18 @@ detects relaxation to the steady state.  All times are in units of 1/kappa.
 
 The state is y = svec(sigma): the n(n+1)/2 upper-triangle entries of the
 (exactly symmetric) sigma, off-diagonal ones times sqrt(2), so ||y||_2 =
-||sigma||_F.  On y the equation is the constant-coefficient flow y' = L y + d,
-so with e^(hA) = [[Phi, g], [0, 1]] for A = [[L, d], [0, 0]] (`_expm_chain`,
-Pade-13 scaling and squaring) one step of length h is exactly y <- Phi y + g.
+||sigma||_F.  The entries and the operator of W sigma + sigma W^T on them are
+`matrices.upper_triangle`'s and `matrices.lyapunov_operator`'s, which the
+sector solve in `lyapunov` shares; only the sqrt(2) scaling is this module's.
+On y the equation is the constant-coefficient flow y' = L y + d, so with
+e^(hA) = [[Phi, g], [0, 1]] for A = [[L, d], [0, 0]] (`_expm_chain`, Pade-13
+scaling and squaring) one step of length h is exactly y <- Phi y + g.
 sigma' = L y + d obeys the homogeneous flow, f <- Phi f, so ||sigma'||_F keeps
 full relative precision down to the steady state.  Samples before the first
 step, log-spaced from LOG_T_MIN, come from the squaring chain e^(hA / 2^k)
 and are for output only.  The integration never consults the Lyapunov
-solution: it checks it.
+solution: it checks it, all but the operator the two share, which the tests
+check against the Kronecker route W (x) I + I (x) W.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError
+from .matrices import lyapunov_operator, upper_triangle
 
 DIVERGENCE_NORM = 1e150
 
@@ -50,47 +55,23 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA_13 = 5.371920351148152
 
 
-def _vec_operator(w: np.ndarray) -> np.ndarray:
-    """L = W (x) I + I (x) W: L @ sigma.ravel() = (W sigma + sigma W^T).ravel()."""
-    eye = np.eye(w.shape[0])
-    return np.kron(w, eye) + np.kron(eye, w)
-
-
 @functools.cache
 def _svec_basis(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     """(s, upper, gather): y = svec(sigma) = s * sigma[upper], s = sqrt(2) off the
-    diagonal, so ||y||_2 = ||sigma||_F; a symmetric sigma = (y / s)[gather].reshape(n, n).
-    Built once per n; the arrays are read-only."""
-    rows, cols = upper = np.triu_indices(n)
-    gather = np.empty(n * n, dtype=int)
-    gather[rows * n + cols] = gather[cols * n + rows] = np.arange(rows.size)
-    s = np.where(rows == cols, 1.0, math.sqrt(2.0))
-    for array in (s, rows, cols, gather):
-        array.flags.writeable = False
+    diagonal, so ||y||_2 = ||sigma||_F; a symmetric sigma = (y / s)[gather].
+    upper and gather are `matrices.upper_triangle`'s; s is built once per n,
+    read-only."""
+    upper, gather, _ = upper_triangle(n)
+    s = np.where(upper[0] == upper[1], 1.0, math.sqrt(2.0))
+    s.flags.writeable = False
     return s, upper, gather
 
 
-@functools.cache
-def _upper_pattern(n: int) -> np.ndarray:
-    """P with w.ravel() @ P = L_z.ravel() for every n x n W: L_z, on the unscaled
-    upper entries, is `_vec_operator`'s upper rows, columns (i, j) + (j, i).
-    L_z is linear in W, so row k of P is L_z of the k-th unit matrix.  Every
-    entry of P is 0, 1 or 2, and every entry of L_z sums at most two distinct
-    entries of W, so the product rounds as the kron route does.  Read-only."""
-    _, (rows, cols), gather = _svec_basis(n)
-    units = np.eye(n * n).reshape(n * n, n, n)
-    upper_rows = np.stack([_vec_operator(unit)[rows * n + cols] for unit in units])
-    pattern = (upper_rows @ np.eye(rows.size)[gather]).reshape(n * n, -1)
-    pattern.flags.writeable = False
-    return pattern
-
-
 def _upper_form(w: np.ndarray) -> np.ndarray:
-    """L_y = S L_z S^-1, so L_y svec(sigma) = svec(W sigma + sigma W^T), with
-    L_z read off `_upper_pattern`."""
+    """L_y = S L_z S^-1, so L_y svec(sigma) = svec(W sigma + sigma W^T), with L_z
+    the operator on the unscaled upper entries (`matrices.lyapunov_operator`)."""
     s, _, _ = _svec_basis(w.shape[0])
-    l_z = (w.ravel() @ _upper_pattern(w.shape[0])).reshape(s.size, s.size)
-    return s[:, None] * l_z / s
+    return s[:, None] * lyapunov_operator(w) / s
 
 
 def _squarings(a: np.ndarray) -> int:
@@ -206,9 +187,9 @@ def _record(times: list[float], states: list[np.ndarray], n: int,
     """sigma at the last svec state, and the trajectory of Tr sigma: diagonal
     entries (s = 1) summed as one C-contiguous (steps, n) array, as `np.trace` sums."""
     s, _, gather = _svec_basis(n)
-    traces = np.array(states).take(gather[:: n + 1], axis=1).sum(axis=1)
+    traces = np.array(states).take(gather.diagonal(), axis=1).sum(axis=1)
     trajectory = Trajectory(np.asarray(times), traces, t_converged is not None, t_converged)
-    return (states[-1] / s)[gather].reshape(n, n), trajectory
+    return (states[-1] / s)[gather], trajectory
 
 
 def integrate(

@@ -4,9 +4,11 @@ Solves W sigma + sigma W^T = -D in the sum/difference quadratures, where
 the drift and the diffusion are block diagonal, W = W_+ (+) W_- and
 D = D_+ (+) D_- (`matrices.split_sectors`), and so is the steady state.
 Each sigma_s is symmetric, so each sector is a 10x10 system in the upper
-triangle of sigma_s (of the symmetric part of D_s).  sigma stays in that
-form, (..., 2, 4, 4), for `metrics.metric_row`, with the residual taken
-per sector (the rotation keeps Frobenius norms); the 8x8 sigma
+triangle of sigma_s (of the symmetric part of D_s), posed on the form that
+`matrices.upper_triangle` and `matrices.lyapunov_operator` share with the
+relaxation in `dynamics`.  sigma stays in sector form, (..., 2, 4, 4), for
+`metrics.metric_row`, with the residual taken per sector (the rotation
+keeps Frobenius norms); the 8x8 sigma
 (`matrices.join_sectors`) is built only when read.  A W not of
 `build_drift`'s form, or a D that does not split, raises ValueError.  W and
 D may be stacks (..., 8, 8), each matrix solved as it would be alone.  The
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdError, UnstableSystemError
-from .matrices import join_sectors, split_drift, split_sectors
+from .matrices import join_sectors, lyapunov_operator, split_drift, split_sectors, upper_triangle
 from .stability import MARGINAL_BAND, sector_spectrum, spectral_verdict
 
 
@@ -49,37 +51,6 @@ def _residuals(w: np.ndarray, d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i", r, r) / np.einsum("...i,...i", d, d))
 
 
-# The 10 unknowns of a symmetric 4x4 sigma_s are its entries i <= j;
-# _SYMMETRIC maps each (i, j) to its unknown.
-_UPPER = np.triu_indices(4)
-_SYMMETRIC = np.zeros((4, 4), dtype=int)
-_SYMMETRIC[_UPPER] = np.arange(10)
-_SYMMETRIC = np.maximum(_SYMMETRIC, _SYMMETRIC.T)
-
-
-def _operator_pattern() -> np.ndarray:
-    """P (16, 100) with vec(W_s) @ P the 10x10 operator, row-major: entry
-    (i, j) of W_s sigma_s + sigma_s W_s^T is sum_k W_ik sigma_kj + W_jk sigma_ik."""
-    pattern = np.zeros((4, 4, 10, 10))  # [row of W_s, column of W_s, equation, unknown]
-    for equation, (i, j) in enumerate(zip(*_UPPER)):
-        for k in range(4):
-            pattern[i, k, equation, _SYMMETRIC[k, j]] += 1.0
-            pattern[j, k, equation, _SYMMETRIC[i, k]] += 1.0
-    return pattern.reshape(16, 100)
-
-
-_PATTERN = _operator_pattern()
-
-
-def _symmetric_operator(sectors: np.ndarray) -> np.ndarray:
-    """The Lyapunov operator of each sector of a (..., 2, 4, 4) stack on the
-    upper-triangle entries of a symmetric sigma_s, as (..., 2, 10, 10).  Each
-    entry is a sum of at most two entries of W_s, so it is exact to one
-    rounding whatever the order of the product."""
-    flat = sectors.reshape(*sectors.shape[:-2], 16)
-    return (flat @ _PATTERN).reshape(*sectors.shape[:-2], 10, 10)
-
-
 def _split(w, d):
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -89,12 +60,13 @@ def _split(w, d):
 
 
 def _solve(sectors, d_sectors, eigenvalues) -> LyapunovSolution:
-    rhs = -(d_sectors[..., _UPPER[0], _UPPER[1]] + d_sectors[..., _UPPER[1], _UPPER[0]]) / 2.0
+    (rows, cols), gather, _ = upper_triangle(4)
+    rhs = -(d_sectors[..., rows, cols] + d_sectors[..., cols, rows]) / 2.0
     try:
-        upper = np.linalg.solve(_symmetric_operator(sectors), rhs[..., None])[..., 0]
+        upper = np.linalg.solve(lyapunov_operator(sectors), rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ThresholdError(f"sector Lyapunov system is singular: {exc}") from exc
-    sigma = upper[..., _SYMMETRIC]
+    sigma = upper[..., gather]
 
     # W_+'s spectrum is W's, each eigenvalue once: the same pairwise sums
     sums = np.abs(eigenvalues[..., :, None] + eigenvalues[..., None, :])

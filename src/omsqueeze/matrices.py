@@ -15,9 +15,15 @@ the sectors off by index arithmetic, `split_drift` also checks that a drift
 has the model's form, for which W_- is similar to W_+, `join_sectors`
 rotates them back, `pair_blocks` gives the 8x8 entries of either form, and
 the solvers and the metrics work on the sectors in between.
+
+It also owns the upper-triangle form of a symmetric n x n matrix
+(`upper_triangle`), on which both the sector solve (n = 4) and the
+relaxation (n = 8) pose W sigma + sigma W^T (`lyapunov_operator`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -154,6 +160,39 @@ def join_sectors(sectors: np.ndarray) -> np.ndarray:
     out[..., _PAIR_1] = pair_1
     out[..., _PAIR_2] = pair_1
     return out.reshape(*s.shape[:-3], 8, 8)
+
+
+@functools.cache
+def upper_triangle(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """(upper, gather, pattern) of a symmetric n x n sigma, built once per n,
+    read-only.  Its m = n(n+1)/2 unknowns are sigma[upper], the entries i <= j
+    row by row; sigma = unknowns[gather], gather (n, n).  vec(W) @ pattern,
+    pattern (n^2, m^2), is `lyapunov_operator`'s operator, row-major."""
+    rows, cols = upper = np.triu_indices(n)
+    m, k = rows.size, np.arange(n)
+    gather = np.empty((n, n), dtype=int)
+    gather[rows, cols] = gather[cols, rows] = np.arange(m)
+    # [row of W, column of W, equation, unknown]: equation (i, j) is
+    # sum_k W_ik sigma_kj + W_jk sigma_ik
+    pattern = np.zeros((n, n, m, m))
+    equation, i, j = np.arange(m)[:, None], rows[:, None], cols[:, None]
+    np.add.at(pattern, (i, k, equation, gather[k, j]), 1.0)
+    np.add.at(pattern, (j, k, equation, gather[i, k]), 1.0)
+    pattern = pattern.reshape(n * n, m * m)
+    for array in (rows, cols, gather, pattern):
+        array.flags.writeable = False
+    return upper, gather, pattern
+
+
+def lyapunov_operator(w: np.ndarray) -> np.ndarray:
+    """The operator of W sigma + sigma W^T on the `upper_triangle` unknowns of
+    a symmetric sigma, (..., m, m) for an n x n W or a stack (..., n, n).
+    Each entry sums at most two entries of W, or doubles one, so it is exact
+    to one rounding whatever the order of the product."""
+    n = w.shape[-1]
+    m = n * (n + 1) // 2
+    flat = w.reshape(*w.shape[:-2], n * n)
+    return (flat @ upper_triangle(n)[2]).reshape(*w.shape[:-2], m, m)
 
 
 def build_diffusion(m: ModelParams) -> np.ndarray:

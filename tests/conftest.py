@@ -19,7 +19,6 @@ from omsqueeze import (
     run_sweep,
     symplectic_form,
 )
-from omsqueeze.dynamics import _vec_operator
 from omsqueeze.matrices import MODE_1, MODE_2, QUADRATURES, join_sectors, require_symmetric
 from omsqueeze.metrics import (
     PAIR_INDICES,
@@ -160,9 +159,15 @@ def kronecker_lyapunov(w, d):
 
 def cm_derivative(w, d, sigma):
     """Right-hand side W sigma + sigma W^T + D of the covariance ODE in
-    matrix form; `dynamics._vec_operator` applies the same map to
-    sigma.ravel()."""
+    matrix form; `vec_operator` applies the same map to sigma.ravel()."""
     return w @ sigma + sigma @ w.T + d
+
+
+def vec_operator(w):
+    """L = W (x) I + I (x) W: L @ sigma.ravel() = (W sigma + sigma W^T).ravel().
+    The Kronecker route, the oracle for `matrices.lyapunov_operator`."""
+    eye = np.eye(w.shape[0])
+    return np.kron(w, eye) + np.kron(eye, w)
 
 
 # Dormand-Prince 5(4) tableau (autonomous right-hand side, so no stage
@@ -183,10 +188,10 @@ DP5_E = (F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200),
 
 def dp5_stage_step(w, d, sigma, h):
     """One DP5(4) trial step of the covariance ODE from sigma, stage by
-    stage on vec sigma with `dynamics._vec_operator`: an integrator
-    independent of the exact steps, for checking them.  Returns the
-    5th-order sigma and the error estimate, both n x n."""
-    op, d_vec, y = _vec_operator(w), d.ravel(), sigma.ravel()
+    stage on vec sigma with `vec_operator`: an integrator independent of
+    the exact steps, for checking them.  Returns the 5th-order sigma and
+    the error estimate, both n x n."""
+    op, d_vec, y = vec_operator(w), d.ravel(), sigma.ravel()
     k = [op @ y + d_vec]
     for row in DP5_A:
         y_new = y + h * sum(float(a) * k_i for a, k_i in zip(row, k))

@@ -10,7 +10,8 @@ plateau.
 `tests/test_figures.py` compares a fresh run against the file.
 
 A change that moves cells on purpose regenerates the file and lists the
-entries that changed.
+entries that changed.  Regeneration rewrites only the entries that the
+comparison flags, so rounding noise within RTOL leaves the file as it is.
 """
 
 from __future__ import annotations
@@ -103,26 +104,44 @@ def fingerprint(results: dict) -> dict:
     }
 
 
+def merge(expected, got, path="", rtol=RTOL) -> tuple[object, list[str]]:
+    """`got`, with every entry that stays within rtol of `expected` (floats
+    relative, everything else exactly) kept as `expected` stores it, and one
+    line for each entry that leaves it, which takes `got`'s value."""
+    if isinstance(expected, dict) and isinstance(got, dict):
+        flagged = [f"{path}/{k}: missing or extra" for k in set(expected) ^ set(got)]
+        merged = {}
+        for key in got:
+            if key not in expected:
+                merged[key] = got[key]
+                continue
+            merged[key], lines = merge(expected[key], got[key], f"{path}/{key}", rtol)
+            flagged += lines
+        return merged, flagged
+    if isinstance(expected, float) and isinstance(got, float):
+        if math.isclose(expected, got, rel_tol=rtol, abs_tol=0.0):
+            return expected, []
+    elif expected == got:
+        return expected, []
+    return got, [f"{path}: {expected!r} -> {got!r}"]
+
+
 def differences(expected, got, path="", rtol=RTOL) -> list[str]:
     """Every entry where `got` leaves `expected`: floats by more than rtol
     relative, everything else exactly."""
-    if isinstance(expected, dict) and isinstance(got, dict):
-        out = [f"{path}/{k}: missing or extra" for k in set(expected) ^ set(got)]
-        for key in sorted(set(expected) & set(got)):
-            out += differences(expected[key], got[key], f"{path}/{key}", rtol)
-        return out
-    if isinstance(expected, float) and isinstance(got, float):
-        if math.isclose(expected, got, rel_tol=rtol, abs_tol=0.0):
-            return []
-    elif expected == got:
-        return []
-    return [f"{path}: {expected!r} -> {got!r}"]
+    return merge(expected, got, path, rtol)[1]
 
 
 def main() -> None:
+    """Rewrite the file: each entry that `differences` flags takes the fresh
+    value and is printed; every other entry keeps its stored bytes."""
     results = {name: run_sweep(figure_preset(name)) for name in GRID_NAMES}
-    GOLDEN.write_text(json.dumps(fingerprint(results), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    merged, flagged = merge(stored, fingerprint(results))
+    GOLDEN.write_text(json.dumps(merged, indent=1) + "\n", encoding="utf-8")
+    for line in flagged:
+        print(line)
+    print(f"wrote {GOLDEN}: {len(flagged)} entries rewritten")
 
 
 if __name__ == "__main__":

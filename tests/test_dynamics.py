@@ -24,8 +24,8 @@ from omsqueeze.dynamics import (
     _squarings,
     _svec_basis,
     _upper_form,
-    _vec_operator,
 )
+from omsqueeze.matrices import lyapunov_operator, split_sectors, upper_triangle
 
 from conftest import (
     ORACLE_FACTOR,
@@ -35,6 +35,7 @@ from conftest import (
     dp5_stage_step,
     model,
     random_models,
+    vec_operator,
 )
 from test_threshold_edges import edge_models
 
@@ -42,7 +43,7 @@ from test_threshold_edges import edge_models
 def from_svec(y, n):
     """The symmetric n x n sigma whose svec is y."""
     s, _, gather = _svec_basis(n)
-    return (y / s)[gather].reshape(n, n)
+    return (y / s)[gather]
 
 
 def oracle_drifts():
@@ -56,13 +57,18 @@ def oracle_drifts():
     ]
 
 
-def kron_upper_form(w):
-    """L_y by the kron/gather route, the oracle for `_upper_form`: the upper
-    rows of W (x) I + I (x) W, columns (i, j) + (j, i), then S L_z S^-1."""
+def kron_upper_operator(w):
+    """L_z by the kron/gather route, the oracle for `lyapunov_operator`: the
+    upper rows of W (x) I + I (x) W, columns (i, j) + (j, i)."""
     n = w.shape[0]
-    s, (rows, cols), gather = _svec_basis(n)
-    l_z = _vec_operator(w)[rows * n + cols] @ np.eye(s.size)[gather]
-    return s[:, None] * l_z / s
+    (rows, cols), gather, _ = upper_triangle(n)
+    return vec_operator(w)[rows * n + cols] @ np.eye(rows.size)[gather.ravel()]
+
+
+def kron_upper_form(w):
+    """L_y = S L_z S^-1 by the kron route, the oracle for `_upper_form`."""
+    s = _svec_basis(w.shape[0])[0]
+    return s[:, None] * kron_upper_operator(w) / s
 
 
 class TestCmDerivative:
@@ -102,7 +108,7 @@ class TestVecOperator:
             w, d = build_drift(m), build_diffusion(m)
             s = rng.normal(size=(8, 8))
             for sigma in (s + s.T, s, initial_covariance(m)):
-                flat = _vec_operator(w) @ sigma.ravel() + d.ravel()
+                flat = vec_operator(w) @ sigma.ravel() + d.ravel()
                 expected = cm_derivative(w, d, sigma).ravel()
                 scale = np.linalg.norm(w) * np.linalg.norm(sigma) + np.linalg.norm(d)
                 assert np.max(np.abs(flat - expected)) <= 1e-14 * scale
@@ -121,7 +127,7 @@ class TestStepPolynomial:
         h = 0.5
         for w in oracle_drifts():
             n = w.shape[0]
-            w = w * (h_norm / (h * np.linalg.norm(_vec_operator(w), 2)))
+            w = w * (h_norm / (h * np.linalg.norm(vec_operator(w), 2)))
             s, a = rng.normal(size=(2, n, n))
             sigma0, d = s + s.T, a @ a.T
             t, y = next((t, y) for t, y, norm in
@@ -150,25 +156,28 @@ class TestStepPolynomial:
 
     def test_upper_operator_matches_vec_operator(self):
         """L_y svec(sigma) = svec(W sigma + sigma W^T), with the right-hand side
-        taken from `_vec_operator` on vec sigma."""
+        taken from `vec_operator` on vec sigma."""
         rng = np.random.default_rng(5)
         for w in oracle_drifts():
             n = w.shape[0]
             s, upper, _ = _svec_basis(n)
             a = rng.normal(size=(n, n))
             sigma = a + a.T
-            full = (_vec_operator(w) @ sigma.ravel()).reshape(n, n)
+            full = (vec_operator(w) @ sigma.ravel()).reshape(n, n)
             scale = np.linalg.norm(w) * np.linalg.norm(sigma)
             got = _upper_form(w) @ (s * sigma[upper])
             assert np.max(np.abs(got - s * full[upper])) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_upper_form_equals_the_kron_route_bit_for_bit(self, n):
-        """`_upper_form` reads L_z off a pattern built once per n; every bit of
-        L_y, the sign of every zero included, is the kron route's, on entries
-        from 1e-5 to 1e5 with +0.0 and -0.0 among them."""
+        """`_upper_form` reads L_z off `lyapunov_operator`; every bit of L_y, the
+        sign of every zero included, is the kron route's, on entries from 1e-5
+        to 1e5 with +0.0 and -0.0 among them.  At n = 4 so is every bit of the
+        unscaled L_z of a (k, 2, 4, 4) stack, as the sector solve builds it."""
         rng = np.random.default_rng(100 + n)
-        ws = [build_drift(m) for m in random_models(5, seed=n)] if n == 8 else []
+        ws = [build_drift(m) for m in random_models(5, seed=n)] if n in (4, 8) else []
+        if n == 4:  # the sectors of model drifts
+            ws = list(split_sectors(np.stack(ws)).reshape(10, 4, 4))
         for trial in range(300):
             w = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-5, 5, size=(n, n))
             w[rng.random((n, n)) < 0.2] = 0.0
@@ -177,11 +186,17 @@ class TestStepPolynomial:
         for w in ws:
             ref = kron_upper_form(w)
             np.testing.assert_array_equal(_upper_form(w).view(np.uint64), ref.view(np.uint64))
+        if n == 4:
+            stack = np.reshape(ws, (-1, 2, 4, 4))
+            ref = np.reshape([kron_upper_operator(w) for w in ws], (-1, 2, 10, 10))
+            got = lyapunov_operator(stack)
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_cached_arrays_are_read_only(self):
-        s, (rows, cols), gather = _svec_basis(3)
-        assert _svec_basis(3)[0] is s
-        for array in (s, rows, cols, gather, dynamics._upper_pattern(3)):
+        (rows, cols), gather, pattern = upper_triangle(3)
+        s = _svec_basis(3)[0]
+        assert upper_triangle(3)[2] is pattern and _svec_basis(3)[0] is s
+        for array in (s, rows, cols, gather, pattern):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 

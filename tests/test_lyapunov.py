@@ -20,8 +20,15 @@ from omsqueeze import (
 )
 
 import omsqueeze.lyapunov as lyapunov_module
-from omsqueeze.lyapunov import _symmetric_operator, solve_stable
-from omsqueeze.matrices import MODE_1, MODE_2, split_drift, split_sectors
+from omsqueeze.lyapunov import solve_stable
+from omsqueeze.matrices import (
+    MODE_1,
+    MODE_2,
+    lyapunov_operator,
+    split_drift,
+    split_sectors,
+    upper_triangle,
+)
 from omsqueeze.stability import MARGINAL_BAND, rhsc_check, sector_spectrum
 
 from conftest import (
@@ -328,21 +335,21 @@ class TestOrlando:
 
     def test_symmetric_determinant_is_16_s4_h3(self):
         for m, report in random_models(20, seed=20251101, stable=True):
-            op = _symmetric_operator(split_sectors(build_drift(m)))
+            op = lyapunov_operator(split_sectors(build_drift(m)))
             expected = 16.0 * report.coefficients.s4 * report.h3
             np.testing.assert_allclose(np.linalg.det(op), [expected] * 2, rtol=1e-12)
 
     def test_symmetric_operator_is_the_kronecker_one_on_symmetric_sigma(self):
         """vec(L sigma_s) from the 16x16 operator, read at i <= j, equals the
         10x10 operator applied to the upper-triangle entries of sigma_s."""
-        rows, cols = np.triu_indices(4)
+        rows, cols = upper_triangle(4)[0]
         rng = np.random.default_rng(11)
         for m, _ in random_models(5, seed=20251102, stable=True):
             sectors = split_sectors(build_drift(m))
             sigma = rng.normal(size=(2, 4, 4))
             sigma = sigma + sigma.swapaxes(-1, -2)
             full = (kronecker_sector_operator(sectors) @ sigma.reshape(2, 16, 1)).reshape(2, 4, 4)
-            upper = _symmetric_operator(sectors) @ sigma[:, rows, cols, None]
+            upper = lyapunov_operator(sectors) @ sigma[:, rows, cols, None]
             np.testing.assert_allclose(upper[..., 0], full[:, rows, cols], rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("gamma", [PAPER_GAMMA_K, 1e-3, 1e-2])
@@ -359,7 +366,7 @@ class TestOrlando:
             return values[..., -1] / values[..., 0]
 
         edge = (1.0 + gamma) / 2.0
-        for build in (kronecker_sector_operator, _symmetric_operator):
+        for build in (kronecker_sector_operator, lyapunov_operator):
             assert np.all(smallest_singular_ratio(build, edge) <= 1e-14)
             assert np.all(smallest_singular_ratio(build, edge - 0.05) >= 1e-6)
 

@@ -707,28 +707,28 @@ class TestColumnarFrontEnd:
 
     def test_threshold_grid_equals_the_scalar_calls(self, monkeypatch):
         """Across both thresholds, with error rows in the stacks, each row's
-        flag is `analyze`'s.  Both take the abscissa of W_+, whose computed
-        spectrum differs from W_-'s by rounding: at Lambda = 0.500003333
-        kappa, G+/G- = 0.999, W_+'s abscissa is just stable and W_-'s just
-        inside the marginal band, and both find the row stable."""
+        flag is `analyze`'s.  The verdict itself is pinned only where W_+'s
+        exact abscissa is clearly outside the marginal band: at Lambda = 0.3
+        kappa it is -4.99e-9 at G+/G- = 1.0000037 (stable) and +4.01e-9 at
+        1.00000371 (unstable).  At Lambda = 0.500003333 kappa it is
+        -9.999999862e-10, inside the band, so rounding decides that verdict."""
         import omsqueeze.sweep as sweep_module
-        from omsqueeze.matrices import split_sectors
-        from omsqueeze.stability import MARGINAL_BAND, analyze
+        from omsqueeze.stability import analyze
 
         spec = threshold_grid_spec()
         assignments = spec.assignments()
-        edge = assignments.index({"lambda_over_kappa": 0.500003333, "g_plus_over_g_minus": 0.999})
-        single = derive_model(apply_overrides(as_direct_drive(spec.base), assignments[edge]))
-        assert analyze(single).stable
-        w_plus, w_minus = split_sectors(build_drift(single))
-        abscissa_plus = np.linalg.eigvals(w_plus).real.max()
-        assert abscissa_plus < -MARGINAL_BAND <= np.linalg.eigvals(w_minus).real.max()
+        pinned = {assignments.index({"lambda_over_kappa": 0.3, "g_plus_over_g_minus": g}): stable
+                  for g, stable in ((1.0000037, True), (1.00000371, False))}
+        base = as_direct_drive(spec.base)
+        for row, stable in pinned.items():
+            assert analyze(derive_model(apply_overrides(base, assignments[row]))).stable is stable
         for batch in (512, 5):
             monkeypatch.setattr(sweep_module, "BATCH", batch)
             result = run_sweep(spec)
             assert sum(e is not None for e in result.errors) == 7
             assert 0 < result.stable.sum() < 42
-            assert result.stable[edge] and result.errors[edge] is None
+            for row, stable in pinned.items():
+                assert result.stable[row] == stable and result.errors[row] is None
             self._check(spec, result, np.arange(spec.grid_size()))
 
     def test_eigensolves_only_the_rows_rhsc_passes(self, monkeypatch):
