@@ -14,7 +14,6 @@ set -euo pipefail
 
 STEPS=(
   tier-1
-  one-cpu
   sweep-filter
   stepper-filter
   second-call
@@ -35,8 +34,6 @@ run_step() {
   case "$1" in
     tier-1)
       python -m pytest -q --continue-on-collection-errors ;;
-    one-cpu)  # sweep and figure tests with the sweeps in the calling thread
-      taskset -c 0 python -m pytest -q tests/test_sweep.py tests/test_figures.py ;;
     sweep-filter)  # sweep rows do not depend on the warning filter
       python scripts/filter_scans.py overflow-spec overflow-scan.json
       for filter in default error; do

@@ -15,11 +15,8 @@ anywhere (a row that fails validation, a square that overflows, a failed
 solve, a metric that is not finite) is split in halves and each is
 evaluated again, down to single rows, which go through the scalar calls:
 one bad point is one error row with its own "{Type}: {message}".  The
-stacks go to one thread per CPU the process may run on, the caller's among
-them (`_evaluate_stacks`), where the one LAPACK kernel of a stack, the
-sector solve, runs without the interpreter lock.  Each stack
-writes only its own rows, so neither the stack size nor the thread count
-changes a result.
+stacks run one after another on the calling thread, and each writes only
+its own rows, so the stack size does not change a result.
 
 A `SweepResult` holds one float array per metric, the stable mask and the
 per-row error texts; its `grid` of `GridPoint` views is built only when
@@ -29,10 +26,7 @@ Rerunning a spec reproduces the CSV byte for byte.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -59,9 +53,10 @@ from .stability import rhsc_check
 # 4.3e-12 relative over the 101 phases.
 OPTIMUM_TIE_RTOL = 1e-11
 
-# Points per stack.  On figures-dense with two threads on 2 vCPUs, stacks of
-# 256, 768 and 1024 ran 32 %, 6 % and 16 % slower than stacks of 512, and
-# peak RSS grew with the stack: 73.2, 75.7, 78.8 and 83.0 MB for 256 to 1024.
+# Points per stack.  On figures-dense in one thread on 2 vCPUs, stacks of
+# 256, 512 and 1024 ran at medians of 78.0k, 88.5k and 80.2k points/s over
+# 8 alternated runs each (IQRs 13.6k, 28.7k and 19.9k: the host was noisy),
+# with peak RSS 74.0, 74.1 and 74.7 MB.
 BATCH = 512
 
 AXIS_NAMES = (
@@ -385,56 +380,6 @@ def _evaluate(base: PhysicalParams, axes: dict[str, np.ndarray], rows: np.ndarra
         columns[name][rows[gate]] = values
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _evaluate_stacks(base: PhysicalParams, axes: dict[str, np.ndarray], size: int,
-                     out: tuple) -> None:
-    """Evaluate the grid's row-major stacks of `BATCH` rows on one thread per
-    CPU, the caller's among them; with one CPU or one stack no thread starts.
-
-    Each stack writes only its own rows of `out`, so no lock guards them and
-    the result does not depend on the order in which stacks finish.  Each
-    thread runs in a copy of the caller's context, which holds numpy's
-    floating-point error state.  The first exception a thread raises stops
-    the others after their current stack and is raised here.
-    """
-    starts = iter(range(0, size, BATCH))
-    lock, stop = threading.Lock(), threading.Event()
-    raised: list[BaseException] = []
-
-    def drain():
-        try:
-            while not stop.is_set():
-                with lock:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                _evaluate(base, axes, np.arange(start, min(start + BATCH, size)), out)
-        except BaseException as exc:  # raised by the caller once every thread is done
-            raised.append(exc)
-            stop.set()
-
-    workers = min(_cpus(), -(-size // BATCH))
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-               for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        drain()
-    finally:
-        stop.set()  # an interrupt while joining still stops the workers
-        for thread in threads:
-            thread.join()
-    if raised:
-        raise raised[0]
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point and locate the optimum of each output."""
     base = spec.base
@@ -447,7 +392,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     columns = {name: np.full(size, math.nan) for name in METRIC_COLUMNS + ("physical",)}
     stable = np.zeros(size, dtype=bool)
     errors: list[str | None] = [None] * size
-    _evaluate_stacks(base, axes, size, (columns, stable, errors))
+    for start in range(0, size, BATCH):
+        _evaluate(base, axes, np.arange(start, min(start + BATCH, size)),
+                  (columns, stable, errors))
 
     if spec.unstable_policy == "skip":
         axes = {name: values[stable] for name, values in axes.items()}

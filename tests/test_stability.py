@@ -9,7 +9,10 @@ import pytest
 from omsqueeze import (
     ModelParams,
     analyze,
+    appendix_c_params,
+    apply_overrides,
     build_drift,
+    derive_model,
     drift_eigenvalues,
     rhsc_check,
     rhsc_coefficients,
@@ -248,6 +251,21 @@ class TestAnalyze:
             report = analyze(m)
             assert (report.h1, report.h2, report.h3, report.rhsc_stable) == rhsc_check(m)
             assert report.coefficients == rhsc_coefficients(m)
+
+    @pytest.mark.parametrize("g_minus_k, ratio",
+                             [(1e8, 0.5), (1e29, 0.0), (1e66, 0.0), (1e77, 0.5), (1.1e77, 0.5)])
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the Hurwitz minor h3 = s1*h2 - s3**2 cancels once the couplings are large, "
+        "reading h3=0 or h3<0 where W's abscissa is -0.0500017; ROADMAP item 12 "
+        "computes the minors from the quartic's factors, where nothing cancels"))
+    def test_large_couplings_are_stable_and_consistent(self, g_minus_k, ratio):
+        """On the appendixC base W_+'s roots stay complex as G- grows, so the
+        abscissa is (Lambda - kappa/2 - gamma/2)/2 at any coupling, and both
+        routes must find these rows stable."""
+        report = analyze(derive_model(apply_overrides(
+            appendix_c_params(), {"g_minus_over_kappa": g_minus_k, "g_plus_over_g_minus": ratio})))
+        assert report.spectral_abscissa == pytest.approx(-0.0500017, abs=1e-7)
+        assert report.stable and report.consistent
 
     def test_json_field_names(self, appendix_c_model):
         payload = analyze(appendix_c_model).to_json()

@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import sys
 import threading
 from dataclasses import fields, replace
 
@@ -409,48 +407,29 @@ class TestRunSweep:
         )
 
     def test_csv_bytes_independent_of_batch_size(self, tmp_path, monkeypatch):
+        """CSV and JSON are the same for any stack size, error rows found by
+        halving a stack included."""
         import omsqueeze.sweep as sweep_module
 
-        spec = self._mixed_spec()
-        result = run_sweep(spec)
-        errors = [p for p in result.grid if p.error is not None]
-        assert len(errors) == 1
-        assert any(p.stable for p in result.grid)
-        assert any(not p.stable and p.error is None for p in result.grid)
-        reference = tmp_path / "default.csv"
-        result.write_csv(reference)
-        for batch in (1, 7):
-            monkeypatch.setattr(sweep_module, "BATCH", batch)
-            path = tmp_path / f"batch{batch}.csv"
-            run_sweep(spec).write_csv(path)
-            assert path.read_bytes() == reference.read_bytes()
-
-    @pytest.mark.parametrize("name", ["mixed-line", "mixed-grid", "fig7a"])
-    def test_bytes_independent_of_worker_count(self, name, tmp_path, monkeypatch):
-        """CSV and JSON are the same with one thread and with three (more
-        than the cores a test host has, switching threads every microsecond),
-        error rows found by halving a stack in a worker thread included."""
-        import omsqueeze.sweep as sweep_module
-
-        spec = {"mixed-line": self._mixed_spec, "mixed-grid": mixed_grid_spec,
-                "fig7a": lambda: figure_preset("fig7a")}[name]()
-        monkeypatch.setattr(sweep_module, "BATCH", 4)
-        outputs = []
-        interval = sys.getswitchinterval()
-        for workers in (1, 3):
-            monkeypatch.setattr(sweep_module, "_cpus", lambda: workers)
-            sys.setswitchinterval(1e-6)
-            try:
+        line = run_sweep(self._mixed_spec())
+        assert sum(e is not None for e in line.errors) == 1
+        assert line.stable.any()
+        assert any(not p.stable and p.error is None for p in line.grid)
+        specs = {"mixed-line": self._mixed_spec(), "mixed-grid": mixed_grid_spec(),
+                 "fig7a": figure_preset("fig7a")}
+        default = sweep_module.BATCH
+        for name, spec in specs.items():
+            outputs = []
+            for batch in (default, 1, 4, 7):
+                monkeypatch.setattr(sweep_module, "BATCH", batch)
                 result = run_sweep(spec)
-            finally:
-                sys.setswitchinterval(interval)
-            path = tmp_path / f"{workers}.csv"
-            result.write_csv(path)
-            outputs.append((path.read_bytes(), json.dumps(result.to_json())))
-        assert outputs[0] == outputs[1]
-        assert name == "fig7a" or any(result.errors)
+                path = tmp_path / f"{name}-{batch}.csv"
+                result.write_csv(path)
+                outputs.append((path.read_bytes(), json.dumps(result.to_json())))
+            assert outputs == [outputs[0]] * len(outputs), name
+            assert name == "fig7a" or any(result.errors)
 
-    def test_one_cpu_or_one_stack_starts_no_thread(self, monkeypatch):
+    def test_multi_stack_sweep_starts_no_thread(self, monkeypatch):
         import omsqueeze.sweep as sweep_module
 
         def no_thread(*args, **kwargs):
@@ -458,64 +437,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         monkeypatch.setattr(sweep_module, "BATCH", 4)
-        monkeypatch.setattr(sweep_module, "_cpus", lambda: 1)
-        run_sweep(figure_preset("fig7a"))  # 51 stacks, one CPU
-        monkeypatch.setattr(sweep_module, "BATCH", 256)
-        monkeypatch.setattr(sweep_module, "_cpus", lambda: 4)
-        run_sweep(figure_preset("fig7a"))  # one stack, four CPUs
-
-    def test_workers_keep_the_callers_floating_point_error_state(self, monkeypatch):
-        """A thread starts with numpy's default error state unless it runs in
-        the caller's context; a stack must not depend on which thread ran it."""
-        import omsqueeze.sweep as sweep_module
-
-        original = sweep_module._evaluate
-        seen = []
-
-        def recording(base, axes, rows, out):
-            seen.append((threading.current_thread() is threading.main_thread(),
-                         np.geterr()["over"]))
-            original(base, axes, rows, out)
-
-        monkeypatch.setattr(sweep_module, "BATCH", 4)
-        monkeypatch.setattr(sweep_module, "_cpus", lambda: 3)
-        monkeypatch.setattr(sweep_module, "_evaluate", recording)
-        with np.errstate(over="raise"):
-            run_sweep(figure_preset("fig7a"))  # 51 stacks
-        assert (False, "raise") in seen
-        assert {state for _, state in seen} == {"raise"}
-
-    def test_cpu_count_falls_back_where_affinity_is_missing(self, monkeypatch):
-        import omsqueeze.sweep as sweep_module
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert sweep_module._cpus() == 3
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert sweep_module._cpus() == 6
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-        assert sweep_module._cpus() == 1
-
-    def test_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
-        """An exception that `_evaluate` does not turn into an error row, in
-        a thread run_sweep started, is raised by run_sweep."""
-        import omsqueeze.sweep as sweep_module
-
-        original = sweep_module._evaluate
-        interrupted = []
-
-        def interrupted_in_a_worker(base, axes, rows, out):
-            if threading.current_thread() is not threading.main_thread() and not interrupted:
-                interrupted.append(rows[0])
-                raise KeyboardInterrupt
-            original(base, axes, rows, out)
-
-        monkeypatch.setattr(sweep_module, "BATCH", 4)
-        monkeypatch.setattr(sweep_module, "_cpus", lambda: 3)
-        monkeypatch.setattr(sweep_module, "_evaluate", interrupted_in_a_worker)
-        with pytest.raises(KeyboardInterrupt):
-            run_sweep(figure_preset("fig7a"))  # 51 stacks
-        assert len(interrupted) == 1
+        run_sweep(figure_preset("fig7a"))  # 51 stacks
 
     @staticmethod
     def _stack_spec(monkeypatch):
@@ -778,8 +700,7 @@ class TestColumnarFrontEnd:
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         monkeypatch.setattr(sweep_module, "BATCH", 64)
         run_sweep(figure_preset("fig7a"))  # 201 stable points
-        # worker threads reach the spectrum in any order
-        assert sorted(shapes) == [(9, 4, 4)] + [(64, 4, 4)] * 3
+        assert shapes == [(64, 4, 4)] * 3 + [(9, 4, 4)]
 
 
 class TestFindOptimum:
