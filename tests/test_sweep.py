@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 from dataclasses import fields, replace
 
@@ -428,6 +429,46 @@ class TestRunSweep:
                 outputs.append((path.read_bytes(), json.dumps(result.to_json())))
             assert outputs == [outputs[0]] * len(outputs), name
             assert name == "fig7a" or any(result.errors)
+
+    @pytest.mark.parametrize("name", ["mixed-line", "mixed-grid", "fig7a"])
+    def test_bytes_independent_of_worker_count(self, name, tmp_path, monkeypatch):
+        """CSV and JSON are the same from one caller and from three threads
+        sweeping at once (switching every microsecond), error rows found by
+        halving a stack included: run_sweep shares no mutable state."""
+        import omsqueeze.sweep as sweep_module
+
+        spec = {"mixed-line": self._mixed_spec, "mixed-grid": mixed_grid_spec,
+                "fig7a": lambda: figure_preset("fig7a")}[name]()
+        monkeypatch.setattr(sweep_module, "BATCH", 4)
+        results = [run_sweep(spec)]
+        failures = []
+
+        def worker():
+            try:
+                results.append(run_sweep(spec))
+            except BaseException as exc:  # re-raised on the calling thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(3)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        if failures:
+            raise failures[0]
+        outputs = []
+        for index, result in enumerate(results):
+            path = tmp_path / f"{index}.csv"
+            result.write_csv(path)
+            outputs.append((path.read_bytes(), json.dumps(result.to_json())))
+        assert len(outputs) == 4
+        assert outputs == [outputs[0]] * len(outputs)
+        assert name == "fig7a" or any(results[0].errors)
 
     def test_multi_stack_sweep_starts_no_thread(self, monkeypatch):
         import omsqueeze.sweep as sweep_module
