@@ -17,7 +17,6 @@ STEPS=(
   sweep-filter
   stepper-filter
   second-call
-  bench-self-tests
   gates-figures-dense
   gates-threshold-gate-1
   gates-threshold-gate-2
@@ -66,8 +65,6 @@ for _ in range(2):  # the second pass overwrites the first
 EOF
       cmp fresh-evolve.txt second-evolve.txt
       cmp fresh-stability.txt second-stability.txt ;;
-    bench-self-tests)
-      python -m pytest perfbench ;;
     gates-figures-dense)
       python3 perfbench/run.py --workload figures-dense --seed 1 --seconds 1 ;;
     gates-threshold-gate-[123])

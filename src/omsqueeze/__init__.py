@@ -68,7 +68,6 @@ from .stability import (
 )
 from .sweep import (
     AXIS_NAMES,
-    GridPoint,
     SweepAxis,
     SweepResult,
     SweepSpec,

@@ -271,7 +271,7 @@ def cmd_sweep(args) -> int:
     spec = _load_spec(args.config)
     result = run_sweep(spec)
     out = args.out if args.out is not None else Path(f"{spec.name}.csv")
-    return _report_sweep(result, f"swept {len(result.stable)} points", out, args.format)
+    return _report_sweep(result, f"swept {spec.grid_size()} points", out, args.format)
 
 
 def cmd_figure(args) -> int:
@@ -287,7 +287,7 @@ def cmd_figure(args) -> int:
         print(f"wrote {out}")
         return 0
     result = run_sweep(preset)
-    heading = f"{args.name}: {len(result.stable)} grid points"
+    heading = f"{args.name}: {preset.grid_size()} grid points"
     return _report_sweep(result, heading, out, args.format)
 
 

@@ -43,8 +43,7 @@ WINDOW_RELAXATIONS = 10.0
 MAX_RELAXATIONS = 1e4
 # Grid steps per steady-state window, and per `integrate` horizon.
 GRID_STEPS = 40
-# `Trajectory.resample_log`: samples on a log grid from LOG_T_MIN (1/kappa).
-LOG_SAMPLES = 400
+# The output-only samples before the first step start at LOG_T_MIN (1/kappa).
 LOG_T_MIN = 1e-2
 
 # Pade-13 coefficients of e^x, and the 1-norm up to which that approximant
@@ -112,22 +111,11 @@ class Trajectory:
     converged: bool = False
     t_converged: float | None = None
 
-    def resample_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """Samples on a log-spaced time grid (plot-friendly): the first
-        recorded sample at or after each grid time, duplicates dropped."""
-        t_last = self.times[-1]
-        if t_last <= LOG_T_MIN:
-            return self.times, self.traces
-        grid = np.geomspace(LOG_T_MIN, t_last, LOG_SAMPLES)
-        idx = np.searchsorted(self.times, grid)
-        idx = np.unique(np.clip(idx, 0, len(self.times) - 1))
-        return self.times[idx], self.traces[idx]
-
     def to_csv(self, path) -> None:
-        times, traces = self.resample_log()
+        """Write every recorded sample, t = 0 first."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t_over_kappa,trace\n")
-            for t, tr in zip(times, traces):
+            for t, tr in zip(self.times, self.traces):
                 fh.write(f"{t:.12g},{tr:.12g}\n")
 
 

@@ -49,11 +49,12 @@ def _symmetric(sigma: np.ndarray) -> np.ndarray:
 
 
 def squeezing_db(variance: float) -> float:
-    """Collective-quadrature squeezing in dB below the two-mode shot noise."""
+    """Collective-quadrature squeezing in dB below the two-mode shot noise;
+    +0.0, not -0.0, at the shot noise."""
     variance = np.asarray(variance, dtype=float)
     if np.any(variance <= 0):
         raise ValueError("variance must be > 0")
-    return _plain(-10.0 * np.log10(variance / TWO_MODE_SHOT_NOISE))
+    return _plain(0.0 - 10.0 * np.log10(variance / TWO_MODE_SHOT_NOISE))
 
 
 def _log_negativity(sigma: np.ndarray, pair: str) -> float:

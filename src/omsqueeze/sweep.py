@@ -19,9 +19,10 @@ stacks run one after another on the calling thread, and each writes only
 its own rows, so the stack size does not change a result.
 
 A `SweepResult` holds one float array per metric, the stable mask and the
-per-row error texts; its `grid` of `GridPoint` views is built only when
-read.  Unstable points are marked (or skipped), never silently zeroed.
-Rerunning a spec reproduces the CSV byte for byte.
+per-row error texts, and writes CSV and JSON from them; its `grid` of JSON
+rows is built only when read.  Unstable points are marked (or skipped),
+never silently zeroed, and a point that failed is kept with its error text
+under either policy.  Rerunning a spec reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -276,22 +277,6 @@ class SweepSpec:
         return SweepSpec(**values)
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    axes: dict[str, float]
-    stable: bool
-    metrics: dict[str, float] | None  # None iff unstable or errored
-    error: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "axes": self.axes,
-            "stable": bool(self.stable),
-            "metrics": self.metrics,
-            "error": self.error,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep as columns, row-major over the grid: the axis values, one
@@ -306,24 +291,19 @@ class SweepResult:
     optimum: dict[str, dict] = field(default_factory=dict)
 
     @cached_property
-    def grid(self) -> tuple[GridPoint, ...]:
-        """One `GridPoint` view per row, built on first read."""
+    def grid(self) -> tuple[dict, ...]:
+        """One JSON row {"axes", "stable", "metrics", "error"} per grid point,
+        built on first read; "metrics" is None on a row that is not stable."""
         axes = zip(*(values.tolist() for values in self.axes.values()))
         metrics = zip(*(values.tolist() for values in self.columns.values()))
         return tuple(
-            GridPoint(
-                dict(zip(self.axes, point)), stable,
-                dict(zip(self.columns, row)) if stable else None, error,
-            )
+            {"axes": dict(zip(self.axes, point)), "stable": stable,
+             "metrics": dict(zip(self.columns, row)) if stable else None, "error": error}
             for point, row, stable, error in zip(axes, metrics, self.stable.tolist(), self.errors)
         )
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "grid": [p.to_json() for p in self.grid],
-            "optimum": self.optimum,
-        }
+        return {"spec": self.spec.to_json(), "grid": list(self.grid), "optimum": self.optimum}
 
     def write_csv(self, path) -> None:
         """Write the rows as CSV.  Each distinct axis value is formatted once,
@@ -396,11 +376,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         _evaluate(base, axes, np.arange(start, min(start + BATCH, size)),
                   (columns, stable, errors))
 
-    if spec.unstable_policy == "skip":
-        axes = {name: values[stable] for name, values in axes.items()}
-        columns = {name: values[stable] for name, values in columns.items()}
-        errors = [None] * int(stable.sum())
-        stable = stable[stable]
+    if spec.unstable_policy == "skip":  # a failed point stays, with its error text
+        keep = stable | np.array([error is not None for error in errors])
+        axes = {name: values[keep] for name, values in axes.items()}
+        columns = {name: values[keep] for name, values in columns.items()}
+        errors = [error for error, kept in zip(errors, keep) if kept]
+        stable = stable[keep]
     result = SweepResult(spec, axes, columns, stable, tuple(errors))
     for metric in spec.outputs:
         try:

@@ -192,8 +192,8 @@ class TestCriterion5FigureValues:
         rounding band (delta^2 ~ 8e8 there)."""
         grid = figure_results["fig5a"].grid
         assert len(grid) == 10201
-        assert sum(p.stable for p in grid) == 10201
-        assert [p for p in grid if p.error is not None] == []
+        assert sum(p["stable"] for p in grid) == 10201
+        assert [p for p in grid if p["error"] is not None] == []
 
     def test_fig5b_optimum(self, figure_results):
         axes, value = _optimum(figure_results, "fig5b")
@@ -240,8 +240,8 @@ class TestCriterion6Physicality:
     def test_every_stable_grid_point_physical(self, figure_results):
         for name, result in figure_results.items():
             for point in result.grid:
-                if point.stable:
-                    assert point.metrics["physical"] == 1.0, (name, point.axes)
+                if point["stable"]:
+                    assert point["metrics"]["physical"] == 1.0, (name, point["axes"])
 
 
 class TestCriterion7SingleModePattern:
@@ -263,9 +263,9 @@ class TestCriterion8ThresholdCorrespondence:
         tested = mismatched = 0
         example = None
         for point in result.grid:
-            if not point.stable:
+            if not point["stable"]:
                 continue
-            metrics = point.metrics
+            metrics = point["metrics"]
             db_margin = abs(metrics[db_key] - THREE_DB_LINE)
             en_margin = abs(metrics[en_key] - COHERENT_BOUND)
             if db_margin <= 0.05 or en_margin <= 0.05:
@@ -273,7 +273,7 @@ class TestCriterion8ThresholdCorrespondence:
             tested += 1
             if (metrics[db_key] > THREE_DB_LINE) != (metrics[en_key] > COHERENT_BOUND):
                 mismatched += 1
-                example = example or (point.axes, metrics[db_key], metrics[en_key])
+                example = example or (point["axes"], metrics[db_key], metrics[en_key])
         return tested, mismatched, example
 
     @pytest.mark.xfail(

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omsqueeze import appendix_c_params, covariance_to_json, paper_base
+from omsqueeze import (
+    appendix_c_params,
+    covariance_to_json,
+    derive_model,
+    initial_covariance,
+    paper_base,
+)
 from omsqueeze import cli
 from omsqueeze.cli import build_parser, main
 
@@ -117,11 +123,13 @@ class TestMetricsRoundTrip:
         assert captured.err == "error: covariance entries must be finite\n"
 
     def test_bare_covariance_payload(self, tmp_path, capsys):
-        cm = tmp_path / "vacuum.json"
+        """The vacuum is at the shot noise: 0 dB, with no minus sign in the
+        text or the CSV."""
+        cm, out = tmp_path / "vacuum.json", tmp_path / "vacuum.csv"
         cm.write_text(json.dumps(covariance_to_json(0.5 * np.eye(8))))
-        assert main(["metrics", "--cm", str(cm)]) == 0
-        out = capsys.readouterr().out
-        assert "S2_c = 0 dB" in out or "S2_c = -0 dB" in out
+        assert main(["metrics", "--cm", str(cm), "--out", str(out)]) == 0
+        assert "squeezing: S2_c = 0 dB  S2_m = 0 dB\n" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1] == "1,1,1,1,0,0,0,0,1"
 
 
 class TestEvolveCommand:
@@ -176,11 +184,19 @@ class TestFigureCommand:
         assert "optimum[s2_m_db]" in capsys.readouterr().out
 
     def test_fig9_trace(self, tmp_path, capsys):
+        """One CSV row per recorded sample, the initial state first: as many
+        as `evolve` reports on the same point."""
         out = tmp_path / "fig9.csv"
         assert main(["figure", "fig9", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "trace plateau" in text
-        assert out.read_text().startswith("t_over_kappa,trace")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t_over_kappa,trace"
+        assert main(["evolve", "--preset", "appendixC"]) == 0
+        samples = capsys.readouterr().out.split(" samples)")[0].rsplit("(", 1)[1]
+        assert len(lines) - 1 == int(samples) == 91
+        m = derive_model(appendix_c_params())
+        assert lines[1] == f"0,{np.trace(initial_covariance(m)):.12g}" == "0,233.523749464"
 
     def test_unknown_figure_is_usage_error(self, capsys):
         assert main(["figure", "fig1"]) == 2
@@ -244,19 +260,24 @@ class TestSweepCommand:
         assert main(["sweep"]) == 2
 
     def test_failed_points_counted_apart_from_unstable(self, tmp_path, capsys):
-        spec = {
-            "name": "mixed",
-            "base": paper_base().to_json(),
-            "axes": [{"name": "p_plus_over_p_minus", "values": [-0.5, 0.5, 1.5]}],
-            "coupling_mode": "powers",
-        }
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps(spec))
-        out = tmp_path / "mixed.csv"
-        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "swept 3 points (1 stable, 1 failed)" in captured.out
-        assert captured.err.startswith("warning: first failed grid point: ValueError: ")
+        """Under either policy the heading counts the whole grid; skip drops
+        the unstable row and keeps the failed one."""
+        for policy, rows in (("mark", 3), ("skip", 2)):
+            spec = {
+                "name": "mixed",
+                "base": paper_base().to_json(),
+                "axes": [{"name": "p_plus_over_p_minus", "values": [-0.5, 0.5, 1.5]}],
+                "coupling_mode": "powers",
+                "unstable_policy": policy,
+            }
+            config = tmp_path / "spec.json"
+            config.write_text(json.dumps(spec))
+            out = tmp_path / "mixed.csv"
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert "swept 3 points (1 stable, 1 failed)" in captured.out
+            assert captured.err.startswith("warning: first failed grid point: ValueError: ")
+            assert len(out.read_text().splitlines()) == 1 + rows
 
     def test_no_failed_count_without_failures(self, tmp_path, capsys):
         assert main(["figure", "fig7a", "--out", str(tmp_path / "fig7a.csv")]) == 0

@@ -88,7 +88,13 @@ class TestCollectiveVariances:
 
 class TestSqueezingDb:
     def test_shot_noise_is_zero_db(self):
+        """+0.0, so text and CSV read 0, not -0; any other variance gives
+        -10 log10(v) bit for bit."""
         assert squeezing_db(1.0) == 0.0
+        assert math.copysign(1.0, squeezing_db(1.0)) == 1.0
+        stacked = squeezing_db(np.array([1.0, 0.5, 2.0]))
+        assert np.signbit(stacked).tolist() == [False, False, True]
+        np.testing.assert_array_equal(stacked[1:], -10.0 * np.log10([0.5, 2.0]))
 
     def test_half_variance_is_the_3db_threshold(self):
         assert squeezing_db(0.5) == pytest.approx(3.0103, abs=1e-4)

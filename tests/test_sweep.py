@@ -268,12 +268,12 @@ class TestRunSweep:
     def test_stable_grid_fully_evaluated(self):
         result = run_sweep(direct_spec())
         assert len(result.grid) == 4
-        assert all(p.stable for p in result.grid)
-        assert all(p.metrics["physical"] == 1.0 for p in result.grid)
+        assert all(p["stable"] for p in result.grid)
+        assert all(p["metrics"]["physical"] == 1.0 for p in result.grid)
 
     def test_grid_order_row_major(self):
         result = run_sweep(direct_spec())
-        axes = [(p.axes["g_plus_over_g_minus"], p.axes["lambda_over_kappa"])
+        axes = [(p["axes"]["g_plus_over_g_minus"], p["axes"]["lambda_over_kappa"])
                 for p in result.grid]
         assert axes == [(0.1, 0.0), (0.1, 0.3), (0.3, 0.0), (0.3, 0.3)]
 
@@ -282,19 +282,28 @@ class TestRunSweep:
             axes=(SweepAxis.explicit("g_plus_over_g_minus", (0.9, 1.1)),),
         )
         result = run_sweep(spec)
-        by_ratio = {p.axes["g_plus_over_g_minus"]: p for p in result.grid}
-        assert by_ratio[0.9].stable and by_ratio[0.9].metrics is not None
-        assert not by_ratio[1.1].stable
-        assert by_ratio[1.1].metrics is None
+        by_ratio = {p["axes"]["g_plus_over_g_minus"]: p for p in result.grid}
+        assert by_ratio[0.9]["stable"] and by_ratio[0.9]["metrics"] is not None
+        assert not by_ratio[1.1]["stable"]
+        assert by_ratio[1.1]["metrics"] is None
 
     def test_skip_policy_drops_unstable_rows(self):
+        """skip drops the rows that are unstable without an error; a point
+        that failed stays, with its error text, as it is under mark."""
         spec = direct_spec(
             axes=(SweepAxis.explicit("g_plus_over_g_minus", (0.9, 1.1)),),
             unstable_policy="skip",
         )
         result = run_sweep(spec)
         assert len(result.grid) == 1
-        assert result.grid[0].stable
+        assert result.grid[0]["stable"]
+
+        marked = run_sweep(mixed_grid_spec())
+        skipped = run_sweep(replace(mixed_grid_spec(), unstable_policy="skip"))
+        kept = marked.stable | np.array([e is not None for e in marked.errors])
+        assert marked.stable.any() and not kept.all()
+        assert list(skipped.grid) == [marked.grid[i] for i in np.flatnonzero(kept)]
+        assert [e for e in skipped.errors if e] == [e for e in marked.errors if e] != []
 
     def test_per_point_errors_recorded_not_fatal(self):
         spec = SweepSpec(
@@ -304,9 +313,9 @@ class TestRunSweep:
             name="err",
         )
         result = run_sweep(spec)
-        assert result.grid[0].error is None
-        assert result.grid[1].error is not None
-        assert not result.grid[1].stable
+        assert result.grid[0]["error"] is None
+        assert result.grid[1]["error"] is not None
+        assert not result.grid[1]["stable"]
 
     def test_overflowing_minors_are_error_rows(self):
         """A coupling whose square overflows a float is an error row with the
@@ -415,7 +424,7 @@ class TestRunSweep:
         line = run_sweep(self._mixed_spec())
         assert sum(e is not None for e in line.errors) == 1
         assert line.stable.any()
-        assert any(not p.stable and p.error is None for p in line.grid)
+        assert any(not p["stable"] and p["error"] is None for p in line.grid)
         specs = {"mixed-line": self._mixed_spec(), "mixed-grid": mixed_grid_spec(),
                  "fig7a": figure_preset("fig7a")}
         default = sweep_module.BATCH
@@ -506,8 +515,8 @@ class TestRunSweep:
         spec = self._stack_spec(monkeypatch)
         clean = run_sweep(spec)
         marked = 99
-        assert clean.grid[marked].stable
-        target = clean.grid[marked].metrics["v_xd"]
+        assert clean.grid[marked]["stable"]
+        target = clean.grid[marked]["metrics"]["v_xd"]
         original_metrics, original_gate = sweep_module.metric_row, sweep_module.solve_stable
         sizes = []
 
@@ -525,8 +534,8 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_module, "solve_stable", counting)
         result = run_sweep(spec)
         assert sizes[0] == 256 and len(sizes) <= self.MAX_GATE_CALLS
-        assert result.grid[marked].error == "PhysicalityError: marked covariance"
-        assert not result.grid[marked].stable and result.grid[marked].metrics is None
+        assert result.grid[marked]["error"] == "PhysicalityError: marked covariance"
+        assert not result.grid[marked]["stable"] and result.grid[marked]["metrics"] is None
 
         clean_csv, failed_csv = tmp_path / "clean.csv", tmp_path / "failed.csv"
         clean.write_csv(clean_csv)
@@ -559,8 +568,8 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_module, "solve_stable", failing_on_marked)
         result = run_sweep(spec)
         assert sizes[0] == 256 and len(sizes) <= self.MAX_GATE_CALLS
-        assert result.grid[marked].error == "ThresholdError: marked model"
-        assert not result.grid[marked].stable and result.grid[marked].metrics is None
+        assert result.grid[marked]["error"] == "ThresholdError: marked model"
+        assert not result.grid[marked]["stable"] and result.grid[marked]["metrics"] is None
         for i, (before, after) in enumerate(zip(clean.grid, result.grid)):
             if i != marked:
                 assert after == before
@@ -578,7 +587,8 @@ class TestRunSweep:
         spec = {"mixed-grid": mixed_grid_spec(), "threshold-grid": threshold_grid_spec(),
                 "signed-zero": signed_zero}[name]
         result = run_sweep(replace(spec, outputs=outputs, unstable_policy=policy))
-        assert result.stable.any() and (policy == "skip") == result.stable.all()
+        unstable = ~result.stable & np.array([e is None for e in result.errors])
+        assert result.stable.any() and (policy == "skip") != unstable.any()
         path = tmp_path / "grid.csv"
         result.write_csv(path)
         assert path.read_bytes() == per_row_csv(result).encode()
@@ -606,7 +616,7 @@ class TestRunSweep:
             axes=(SweepAxis.explicit("phi_over_pi", (-0.35, 0.35)),),
         )
         result = run_sweep(spec)
-        left, right = result.grid[0].metrics, result.grid[1].metrics
+        left, right = result.grid[0]["metrics"], result.grid[1]["metrics"]
         for key in ("v_xc", "v_yc", "v_xd", "v_yd", "en_cc", "en_mm"):
             assert left[key] == pytest.approx(right[key], abs=1e-9)
 
@@ -753,7 +763,7 @@ class TestFindOptimum:
         result = run_sweep(spec)
         axes, value = find_optimum(result, "s2_m_db")
         assert axes["phi_over_pi"] == -0.5  # no pump: phase changes nothing
-        assert value == pytest.approx(result.grid[0].metrics["s2_m_db"])
+        assert value == pytest.approx(result.grid[0]["metrics"]["s2_m_db"])
 
     def test_values_a_few_ulp_apart_tie_to_first_point(self):
         spec = direct_spec(axes=(SweepAxis.explicit("phi_over_pi", (-0.5, 0.0, 0.5)),))
@@ -855,17 +865,17 @@ class TestPresetPhysics:
 
     def test_fig3_optical_squeezing_capped_at_3db(self, figure_results):
         result = figure_results["fig3a"]
-        assert all(p.stable and p.error is None for p in result.grid)
-        assert max(p.metrics["s2_c_db"] for p in result.grid) < 3.0103
+        assert all(p["stable"] and p["error"] is None for p in result.grid)
+        assert max(p["metrics"]["s2_c_db"] for p in result.grid) < 3.0103
 
     def test_fig3_mechanical_squeezing_phase_sensitivity(self, figure_results):
         result = figure_results["fig3b"]
 
         def at(phi_over_pi, ratio):
             pts = [p for p in result.grid
-                   if abs(p.axes["phi_over_pi"] - phi_over_pi) < 1e-12]
-            pt = min(pts, key=lambda p: abs(p.axes["p_plus_over_p_minus"] - ratio))
-            return pt.metrics["s2_m_db"]
+                   if abs(p["axes"]["phi_over_pi"] - phi_over_pi) < 1e-12]
+            pt = min(pts, key=lambda p: abs(p["axes"]["p_plus_over_p_minus"] - ratio))
+            return pt["metrics"]["s2_m_db"]
 
         assert at(0.0, 0.1) > 3.0103
         assert at(1 / 24, 0.1) > 3.0103
@@ -876,20 +886,20 @@ class TestPresetPhysics:
 
         def at(lam, ratio):
             pts = [p for p in result.grid
-                   if p.axes["lambda_over_kappa"] == lam and p.stable]
-            pt = min(pts, key=lambda p: abs(p.axes["p_plus_over_p_minus"] - ratio))
-            return pt.metrics["s2_m_db"]
+                   if p["axes"]["lambda_over_kappa"] == lam and p["stable"]]
+            pt = min(pts, key=lambda p: abs(p["axes"]["p_plus_over_p_minus"] - ratio))
+            return pt["metrics"]["s2_m_db"]
 
         assert at(0.0, 0.1) < 3.0103
         assert at(0.49, 0.1) > 3.0103
 
     def test_fig6_temperature_degrades_squeezing(self, figure_results):
         result = figure_results["fig6b"]
-        assert all(p.error is None for p in result.grid)
+        assert all(p["error"] is None for p in result.grid)
         best = {}
         for t in (10.0, 400.0, 1000.0):
             pts = [p for p in result.grid
-                   if p.axes["temperature_mk"] == t and p.stable]
-            best[t] = max(p.metrics["s2_m_db"] for p in pts)
+                   if p["axes"]["temperature_mk"] == t and p["stable"]]
+            best[t] = max(p["metrics"]["s2_m_db"] for p in pts)
         assert best[10.0] > best[400.0] > best[1000.0]
         assert best[10.0] > 18.0
